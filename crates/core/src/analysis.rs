@@ -49,10 +49,11 @@ pub struct SpaceReport {
     pub components: Vec<ComponentStats>,
     /// The smallest `d_min` between the decision classes `PS^ε(v)` and
     /// `PS^ε(w)` (unions of components containing `v`- resp. `w`-valent
-    /// runs), minimized over value pairs. `Below(depth)` when some
-    /// component contains both valences (the classes touch at this
-    /// resolution — the Fig. 5 situation); a positive `Finite(t)` when the
-    /// classes are separated (Fig. 4); `None` when a class is missing.
+    /// runs), minimized over value pairs. `Below(depth)` exactly when two
+    /// classes share a component, i.e. some component contains both
+    /// valences (the classes touch at this resolution — the Fig. 5
+    /// situation); a `Finite(t)` when the classes are separated (Fig. 4);
+    /// `None` when fewer than two classes are nonempty.
     pub min_class_distance: Option<distance::Distance>,
     /// Whether the valence labeling is separated at this depth.
     pub separated: bool,
@@ -101,54 +102,43 @@ impl fmt::Display for SpaceReport {
 pub fn report(space: &PrefixSpace) -> SpaceReport {
     let bc = broadcast::broadcast_report(space);
     let comps = space.components();
-    let labels = space.valence_labels();
-    let mut components = Vec::with_capacity(comps.count());
-    for c in 0..comps.count() {
-        let members = comps.members(c);
-        let mut valences = BTreeSet::new();
-        for &i in members {
-            if let Some(&v) = labels.get(&i) {
-                valences.insert(v);
-            }
-        }
-        components.push(ComponentStats {
+    let mut components: Vec<ComponentStats> = (0..comps.count())
+        .map(|c| ComponentStats {
             id: c,
-            size: members.len(),
-            valences,
+            size: comps.members(c).len(),
+            valences: BTreeSet::new(),
             broadcasters: bc.components[c].broadcasters.clone(),
-        });
+        })
+        .collect();
+    for (&i, &v) in &space.valence_labels() {
+        components[comps.component_of(i)].valences.insert(v);
     }
+    // Corollary 5.6 at this resolution: no component mixes two valences.
+    let separated = !components.iter().any(ComponentStats::is_mixed);
 
     // Distance between the decision classes PS^ε(v): the union of
     // components containing a v-valent run (Definition 6.2). Touching
-    // classes (a mixed component) register as Below(depth).
+    // classes (a mixed component) register as Below(depth), the least
+    // distance there is, so the scan stops there.
+    let classes: Vec<Vec<&ptgraph::PrefixRun>> = space
+        .values()
+        .iter()
+        .map(|v| {
+            let runs = space.runs().iter().enumerate();
+            runs.filter(|&(i, _)| components[comps.component_of(i)].valences.contains(v))
+                .map(|(_, r)| r)
+                .collect()
+        })
+        .collect();
+    let touching = distance::Distance::Below(space.depth());
     let mut min_class_distance: Option<distance::Distance> = None;
-    let values: Vec<Value> = space.values().to_vec();
-    let class_runs = |v: Value| -> Vec<&ptgraph::PrefixRun> {
-        let comp_ids: BTreeSet<usize> = space
-            .runs()
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_valent(v))
-            .map(|(i, _)| comps.component_of(i))
-            .collect();
-        space
-            .runs()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| comp_ids.contains(&comps.component_of(*i)))
-            .map(|(_, r)| r)
-            .collect()
-    };
-    for (i, &v) in values.iter().enumerate() {
-        for &w in &values[i + 1..] {
-            let vs = class_runs(v);
-            let ws = class_runs(w);
-            if let Some(d) = distance::set_distance_min(&vs, &ws) {
-                min_class_distance = Some(match min_class_distance {
-                    None => d,
-                    Some(cur) => cur.min(d),
-                });
+    'pairs: for (i, vs) in classes.iter().enumerate() {
+        for ws in &classes[i + 1..] {
+            if let Some(d) = distance::set_distance_min(vs, ws) {
+                min_class_distance = Some(min_class_distance.map_or(d, |cur| cur.min(d)));
+                if d == touching {
+                    break 'pairs;
+                }
             }
         }
     }
@@ -159,7 +149,7 @@ pub fn report(space: &PrefixSpace) -> SpaceReport {
         view_count: space.table().len(),
         components,
         min_class_distance,
-        separated: space.separation().is_separated(),
+        separated,
     }
 }
 
@@ -239,7 +229,8 @@ mod tests {
         // every depth (distance below resolution — their separation only
         // happens in the limit via excluded sequences).
         let ma = GeneralMA::stabilizing(generators::lossy_link_full(), 2, None);
-        let sweep = depth_sweep(&ma, &[0, 1], 3, 1_000_000);
+        let sweep = depth_sweep(&ma, &[0, 1], 6, 1_000_000);
+        assert_eq!(sweep.len(), 7, "the sweep must reach depth 6");
         for rep in &sweep {
             match rep.min_class_distance.unwrap() {
                 Distance::Below(t) => assert_eq!(t, rep.depth),

@@ -12,9 +12,11 @@
 //! distance is `< 2^{−T}` (it is `0` iff the infinite extensions never
 //! diverge — decidable for lassos via [`crate::contamination`]).
 
+use std::collections::HashSet;
+
 use dyngraph::Pid;
 
-use crate::{PrefixRun, ViewTable};
+use crate::{PrefixRun, ViewId, ViewTable};
 
 /// An exact dyadic distance value; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,20 +161,50 @@ pub fn diameter_min(runs: &[&PrefixRun]) -> Option<Distance> {
     best
 }
 
-/// The set distance `d_min(A, B) = inf {d_min(a,b)}` (paper Definition
-/// 5.12). Returns `None` if either set is empty.
+/// The set distance `d_min(A, B) = inf {d_min(a,b) : a ∈ A, b ∈ B}` (paper
+/// Definition 5.12). Returns `None` if either set is empty.
+///
+/// Computed by one view-set walk per level rather than over all pairs: for
+/// `t = H` down to `0` (`H` the common horizon), one reused hash set takes
+/// every view id of `xs` at time `t` and the ids of `ys` at time `t` probe
+/// it. The first level with a hit decides: `Below(H)` if it is `H`,
+/// `Finite(t + 1)` if it is `t < H`; no hit at any level gives `Finite(0)`.
+///
+/// The walk is exact. Views are cumulative, so a process whose views agree
+/// in two runs at time `t` agrees at every earlier time, and `d_min(a, b)`
+/// is fixed by the last time some process has the same view in `a` and
+/// `b`; the infimum over pairs is fixed by the last such time over all
+/// pairs, which is the first level the walk hits. An interned [`ViewId`]
+/// determines its owner and its time, so a bare id hit is a same-process,
+/// same-time agreement. The cost is `O((|A| + |B|)·n·H)` hash operations,
+/// against `O(|A|·|B|·n·log H)` view comparisons for the pairwise minimum.
+///
+/// # Panics
+/// Panics if the runs do not all share one horizon and one `n` (the runs
+/// of one prefix space always do). Their views must be interned in one
+/// [`ViewTable`].
 pub fn set_distance_min(xs: &[&PrefixRun], ys: &[&PrefixRun]) -> Option<Distance> {
-    let mut best: Option<Distance> = None;
-    for a in xs {
-        for b in ys {
-            let d = d_min(a, b);
-            best = Some(match best {
-                None => d,
-                Some(cur) => cur.min(d),
+    if xs.is_empty() || ys.is_empty() {
+        return None;
+    }
+    let (n, horizon) = (xs[0].n(), xs[0].rounds());
+    assert!(
+        xs.iter().chain(ys).all(|r| r.n() == n && r.rounds() == horizon),
+        "set distance needs runs of one horizon and one n"
+    );
+    let mut seen: HashSet<ViewId> = HashSet::with_capacity(xs.len() * n);
+    for t in (0..=horizon).rev() {
+        seen.clear();
+        seen.extend(xs.iter().flat_map(|r| r.views_at(t)));
+        if ys.iter().flat_map(|r| r.views_at(t)).any(|v| seen.contains(v)) {
+            return Some(if t == horizon {
+                Distance::Below(horizon)
+            } else {
+                Distance::Finite(t + 1)
             });
         }
     }
-    best
+    Some(Distance::Finite(0))
 }
 
 /// Reproduce the paper's **Figure 3** example: three processes, two runs
@@ -199,7 +231,117 @@ pub fn fig3_example() -> (PrefixRun, PrefixRun, ViewTable) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyngraph::GraphSeq;
+    use dyngraph::{Digraph, GraphSeq};
+    use std::collections::BTreeSet;
+
+    /// The pairwise minimum of Definition 5.12 — the oracle for the level
+    /// walk of [`set_distance_min`].
+    fn all_pairs_min(xs: &[&PrefixRun], ys: &[&PrefixRun]) -> Option<Distance> {
+        xs.iter().flat_map(|a| ys.iter().map(move |b| d_min(a, b))).min()
+    }
+
+    /// xorshift64* — tiny, seedable, and stable across toolchains.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A sparse random graph: each edge with probability 1/3.
+    fn sparse_graph(rng: &mut Rng, n: usize) -> Digraph {
+        let edges: Vec<(Pid, Pid)> = (0..n)
+            .flat_map(|p| (0..n).map(move |q| (p, q)))
+            .filter(|&(p, q)| p != q && rng.below(3) == 0)
+            .collect();
+        Digraph::from_edges(n, &edges).unwrap()
+    }
+
+    /// Random runs of one horizon in one table, forking off a shared base
+    /// sequence at random rounds so that pairs agree for a while.
+    fn forked_runs(
+        rng: &mut Rng,
+        n: usize,
+        horizon: usize,
+        table: &mut ViewTable,
+    ) -> Vec<PrefixRun> {
+        let base: Vec<Digraph> = (0..horizon).map(|_| sparse_graph(rng, n)).collect();
+        let mut runs = Vec::new();
+        for _ in 0..2 + rng.below(7) {
+            let inputs = (0..n).map(|_| rng.below(2) as u32).collect();
+            let fork = rng.below(horizon + 1);
+            let mut graphs = base[..fork].to_vec();
+            graphs.extend((fork..horizon).map(|_| sparse_graph(rng, n)));
+            runs.push(PrefixRun::compute(inputs, &GraphSeq::from_graphs(graphs), table));
+        }
+        runs
+    }
+
+    #[test]
+    fn set_distance_walk_matches_all_pairs() {
+        let mut rng = Rng(0x5e7d_157a_4ce0_0001);
+        let (mut empty, mut below, mut zero) = (false, false, false);
+        let mut deep = BTreeSet::new();
+        for case in 0..400 {
+            let n = 2 + rng.below(2);
+            let horizon = 1 + rng.below(6);
+            let mut table = ViewTable::new(n);
+            let runs = forked_runs(&mut rng, n, horizon, &mut table);
+            for _ in 0..8 {
+                // Independent coin flips: the sides may overlap or be empty.
+                let (mut xs, mut ys) = (Vec::new(), Vec::new());
+                for r in &runs {
+                    if rng.below(2) == 0 {
+                        xs.push(r);
+                    }
+                    if rng.below(2) == 0 {
+                        ys.push(r);
+                    }
+                }
+                let walk = set_distance_min(&xs, &ys);
+                assert_eq!(walk, all_pairs_min(&xs, &ys), "case {case}: n={n} H={horizon}");
+                match walk {
+                    None => empty = true,
+                    Some(Distance::Below(h)) => below |= h == horizon,
+                    Some(Distance::Finite(0)) => zero = true,
+                    Some(Distance::Finite(t)) if t >= 2 => {
+                        deep.insert(t);
+                    }
+                    Some(Distance::Finite(_)) => {}
+                }
+            }
+        }
+        assert!(
+            empty && below && zero,
+            "outcomes: None {empty}, Below(H) {below}, Finite(0) {zero}"
+        );
+        assert!(deep.len() >= 2, "Finite(t ≥ 2) outcomes: {deep:?}");
+    }
+
+    #[test]
+    fn fig3_set_distance() {
+        let (alpha, beta, _) = fig3_example();
+        assert_eq!(set_distance_min(&[&alpha], &[&beta]), Some(Distance::Finite(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "one horizon")]
+    fn set_distance_rejects_mixed_horizons() {
+        let mut t = ViewTable::new(2);
+        let a = PrefixRun::compute(vec![0, 1], &GraphSeq::parse2("->").unwrap(), &mut t);
+        let b = PrefixRun::compute(vec![0, 1], &GraphSeq::parse2("-> <-").unwrap(), &mut t);
+        set_distance_min(&[&a], &[&b]);
+    }
 
     fn runs2(word_a: &str, word_b: &str, xa: [u32; 2], xb: [u32; 2]) -> (PrefixRun, PrefixRun) {
         let mut t = ViewTable::new(2);

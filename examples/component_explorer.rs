@@ -41,7 +41,7 @@ fn main() {
 
     section("Figure 5: non-compact ◇stable(2) — classes touch at every depth");
     let noncompact = GeneralMA::stabilizing(generators::lossy_link_full(), 2, None);
-    for report in analysis::depth_sweep(&noncompact, &[0, 1], 3, 2_000_000) {
+    for report in analysis::depth_sweep(&noncompact, &[0, 1], 6, 2_000_000) {
         println!(
             "depth {}: {} components, {} mixed, min class distance {}",
             report.depth,

@@ -7,24 +7,27 @@ use ptgraph::contamination;
 
 /// F5: for the non-compact ◇stable(2), the decision classes touch at every
 /// depth while the compact approximations separate — the Fig. 4/Fig. 5
-/// contrast, quantified.
+/// contrast, quantified through depth 6.
 #[test]
 fn compact_vs_noncompact_class_distance() {
     use ptgraph::distance::Distance;
     // Non-compact: touching at every depth.
     let nc = GeneralMA::stabilizing(generators::lossy_link_full(), 2, None);
-    for rep in analysis::depth_sweep(&nc, &[0, 1], 3, 2_000_000) {
-        assert!(matches!(rep.min_class_distance.unwrap(), Distance::Below(_)));
+    let sweep = analysis::depth_sweep(&nc, &[0, 1], 6, 2_000_000);
+    assert_eq!(sweep.len(), 7, "the sweep must reach depth 6");
+    for rep in &sweep {
+        assert_eq!(rep.min_class_distance, Some(Distance::Below(rep.depth)));
         assert!(!rep.separated);
     }
-    // Compact approximation with deadline 2: separated at depth ≥ 2 with a
-    // positive class distance.
+    // Compact approximation with deadline 2: from depth 2 on, separated
+    // with the classes at distance 1/2.
     let compact = nc.with_deadline(2);
-    let space = PrefixSpace::expand(&compact, &[0, 1], 3, &consensus_core::ExpandConfig::default())
-        .unwrap();
-    let rep = analysis::report(&space);
-    assert!(rep.separated);
-    assert!(matches!(rep.min_class_distance.unwrap(), Distance::Finite(_)));
+    let sweep = analysis::depth_sweep(&compact, &[0, 1], 6, 2_000_000);
+    assert_eq!(sweep.len(), 7, "the sweep must reach depth 6");
+    for rep in &sweep[2..] {
+        assert!(rep.separated, "depth {}", rep.depth);
+        assert_eq!(rep.min_class_distance, Some(Distance::Finite(1)), "depth {}", rep.depth);
+    }
 }
 
 /// T9: excluded limits of the eventually-swap adversary are exactly the

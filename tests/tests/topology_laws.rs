@@ -188,3 +188,70 @@ fn class_distances_match_separation() {
         }
     }
 }
+
+/// The pairwise minimum of Definition 5.12 — the oracle for the level walk
+/// of `distance::set_distance_min`.
+fn all_pairs_min(xs: &[&PrefixRun], ys: &[&PrefixRun]) -> Option<distance::Distance> {
+    xs.iter().flat_map(|a| ys.iter().map(move |b| distance::d_min(a, b))).min()
+}
+
+/// Differential check of `set_distance_min` against the pairwise oracle on
+/// the decision classes `PS^ε(v)` of every catalog adversary, at depths
+/// 1..=5 over a binary and a ternary domain; then of the report's
+/// `min_class_distance` against the minimum over value pairs.
+#[test]
+fn class_distance_walk_matches_all_pairs_on_catalog() {
+    use adversary::catalog;
+    use consensus_core::{analysis, space::PrefixSpace, ExpandConfig};
+    use std::collections::BTreeSet;
+
+    for entry in catalog::entries() {
+        let ma = entry.build();
+        for values in [&[0, 1][..], &[0, 1, 2]] {
+            for depth in 1..=5 {
+                let space = PrefixSpace::expand(&*ma, values, depth, &ExpandConfig::default())
+                    .unwrap_or_else(|e| panic!("{}@{depth}: {e}", entry.name));
+                let rep = analysis::report(&space);
+                assert_eq!(rep.separated, space.separation().is_separated(), "{}", entry.name);
+                let comps = space.components();
+                // PS^ε(v) as (component ids, runs): the components holding a
+                // v-valent run, and every run in them.
+                let classes: Vec<(BTreeSet<usize>, Vec<&PrefixRun>)> = values
+                    .iter()
+                    .map(|&v| {
+                        let runs = space.runs().iter().enumerate();
+                        let ids: BTreeSet<usize> = runs
+                            .clone()
+                            .filter(|(_, r)| r.is_valent(v))
+                            .map(|(i, _)| comps.component_of(i))
+                            .collect();
+                        let members = runs
+                            .filter(|&(i, _)| ids.contains(&comps.component_of(i)))
+                            .map(|(_, r)| r)
+                            .collect();
+                        (ids, members)
+                    })
+                    .collect();
+                let mut expected: Option<distance::Distance> = None;
+                for (i, (v_ids, vs)) in classes.iter().enumerate() {
+                    for (w_ids, ws) in &classes[i + 1..] {
+                        let walk = distance::set_distance_min(vs, ws);
+                        let at = format!("{}@{depth} over {values:?}", entry.name);
+                        if v_ids.is_disjoint(w_ids) {
+                            assert_eq!(walk, all_pairs_min(vs, ws), "{at}");
+                        } else {
+                            // A shared run r gives d_min(r, r) = Below(depth),
+                            // the least value, so the oracle's answer is known.
+                            assert_eq!(walk, Some(distance::Distance::Below(depth)), "{at}");
+                            assert!(!rep.separated, "{at}");
+                        }
+                        if let Some(d) = walk {
+                            expected = Some(expected.map_or(d, |cur| cur.min(d)));
+                        }
+                    }
+                }
+                assert_eq!(rep.min_class_distance, expected, "{}@{depth}", entry.name);
+            }
+        }
+    }
+}
