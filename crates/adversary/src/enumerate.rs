@@ -131,7 +131,7 @@ pub fn admissible_sequences(ma: &dyn MessageAdversary, depth: usize) -> Vec<Grap
 
 /// The number of input assignments `|values|^n`, saturated — the budget
 /// comparisons treat an overflowing count as "over any budget".
-fn inputs_count(values: &[Value], n: usize) -> usize {
+pub fn inputs_count(values: &[Value], n: usize) -> usize {
     values.len().checked_pow(n as u32).unwrap_or(usize::MAX)
 }
 

@@ -28,8 +28,12 @@
 //! [`UniversalAlgorithm::decision_table`] snapshots the map, and the
 //! certificate verifier replays witness executions against it without
 //! re-expanding the prefix space.
-
-use std::collections::HashMap;
+//!
+//! A [`ViewId`] determines its owner, so the map is stored densely: one
+//! entry per view id of the synthesis-time table, holding the owner and
+//! the value when the view's ball is decided. A lookup is one index, and
+//! answers only for the owner; views interned after synthesis (runs past
+//! the horizon) have no entry.
 
 use dyngraph::Pid;
 use ptgraph::{Value, ViewId, ViewTable};
@@ -43,14 +47,15 @@ use crate::space::PrefixSpace;
 /// Implements [`simulator::Algorithm`]: states are interned views plus the
 /// decision; the runtime interner is seeded with the synthesis-time
 /// [`ViewTable`] so that view identity at run time coincides with synthesis
-/// time.
+/// time. Decisions are a dense table indexed by view id: a view decides
+/// only for its owner, and only if it was interned at synthesis.
 #[derive(Debug)]
 pub struct UniversalAlgorithm {
     /// Runtime view interner (shared across the processes of an execution).
     table: Mutex<ViewTable>,
-    /// `(p, view)` → decision value, for every bucket whose ball is
-    /// decided.
-    decisions: HashMap<(Pid, ViewId), Value>,
+    /// Entry `i` is `Some((owner, value))` when the ball of view `i` of
+    /// the synthesis-time table is decided.
+    decisions: Vec<Option<(Pid, Value)>>,
     /// The synthesis depth: every admissible run decides by this round.
     depth: usize,
 }
@@ -83,28 +88,24 @@ impl UniversalAlgorithm {
 
     fn synthesize_from_assignment(space: &PrefixSpace, assignment: Vec<Value>) -> Option<Self> {
         let depth = space.depth();
-        // Earliest-decision tables: bucket (p, view at s) decides v iff all
-        // runs sharing the bucket sit in components assigned v.
-        let mut bucket_values: HashMap<(Pid, ViewId), Option<Value>> = HashMap::new();
+        // Earliest-decision table: bucket (p, view at s) decides v iff all
+        // runs sharing the bucket sit in components assigned v. A slot
+        // holds the owner and `None` once its runs disagree.
+        let mut buckets: Vec<Option<(Pid, Option<Value>)>> = vec![None; space.table().len()];
         for (i, run) in space.runs().iter().enumerate() {
             let value = assignment[space.components().component_of(i)];
             for s in 0..=depth {
                 for p in 0..run.n() {
-                    let key = (p, run.view(p, s));
-                    match bucket_values.entry(key) {
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(Some(value));
-                        }
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            if *e.get() != Some(value) {
-                                *e.get_mut() = None; // ambiguous ball: no decision yet
-                            }
-                        }
+                    let slot = &mut buckets[run.view(p, s).index()];
+                    match slot {
+                        None => *slot = Some((p, Some(value))),
+                        Some((_, decided)) if *decided != Some(value) => *decided = None,
+                        Some(_) => {}
                     }
                 }
             }
         }
-        let decisions = bucket_values.into_iter().filter_map(|(k, v)| v.map(|v| (k, v))).collect();
+        let decisions = buckets.into_iter().map(|b| b.and_then(|(p, v)| Some((p, v?)))).collect();
         Some(UniversalAlgorithm { table: Mutex::new(space.table().clone()), decisions, depth })
     }
 
@@ -115,12 +116,16 @@ impl UniversalAlgorithm {
 
     /// Number of `(process, view)` buckets with a decision entry.
     pub fn table_size(&self) -> usize {
-        self.decisions.len()
+        self.decisions.iter().flatten().count()
     }
 
-    /// The decision for a bucket, if the ball around the view is decided.
+    /// The decision for a bucket, if the ball around the view is decided;
+    /// `None` unless `p` owns `view`.
     pub fn bucket_decision(&self, p: Pid, view: ViewId) -> Option<Value> {
-        self.decisions.get(&(p, view)).copied()
+        match self.decisions.get(view.index()) {
+            Some(&Some((owner, v))) if owner == p => Some(v),
+            _ => None,
+        }
     }
 
     /// The full decision table as a sorted `(process, view, value)` list —
@@ -131,9 +136,15 @@ impl UniversalAlgorithm {
     /// determines the algorithm completely, and a verifier can check
     /// agreement/validity/termination against it by replaying executions,
     /// without access to the prefix space the table was synthesized from.
+    /// It does not lock the interner, so it may run inside
+    /// [`with_view_table`](Self::with_view_table).
     pub fn decision_table(&self) -> Vec<(Pid, ViewId, Value)> {
-        let mut table: Vec<(Pid, ViewId, Value)> =
-            self.decisions.iter().map(|(&(p, view), &v)| (p, view, v)).collect();
+        let mut table: Vec<(Pid, ViewId, Value)> = self
+            .decisions
+            .iter()
+            .enumerate()
+            .filter_map(|(i, d)| d.map(|(p, v)| (p, ViewId::from_index(i), v)))
+            .collect();
         table.sort_unstable();
         table
     }
@@ -299,6 +310,76 @@ mod tests {
         let alg = UniversalAlgorithm::synthesize(&space).unwrap();
         assert!(alg.table_size() > 0);
         assert_eq!(alg.decision_depth(), 1);
+    }
+
+    /// The `(process, view)` bucket map the dense table replaced — the
+    /// oracle for `decision_table` and `table_size`.
+    fn bucket_map_table(space: &PrefixSpace, assignment: &[Value]) -> Vec<(Pid, ViewId, Value)> {
+        use std::collections::hash_map::{Entry, HashMap};
+        let mut buckets: HashMap<(Pid, ViewId), Option<Value>> = HashMap::new();
+        for (i, run) in space.runs().iter().enumerate() {
+            let value = assignment[space.components().component_of(i)];
+            for s in 0..=space.depth() {
+                for p in 0..run.n() {
+                    match buckets.entry((p, run.view(p, s))) {
+                        Entry::Vacant(e) => {
+                            e.insert(Some(value));
+                        }
+                        Entry::Occupied(mut e) => {
+                            if *e.get() != Some(value) {
+                                *e.get_mut() = None;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let mut table: Vec<(Pid, ViewId, Value)> =
+            buckets.into_iter().filter_map(|((p, view), v)| Some((p, view, v?))).collect();
+        table.sort_unstable();
+        table
+    }
+
+    #[test]
+    fn dense_table_matches_bucket_map_on_catalog() {
+        let mut compared = 0;
+        for entry in adversary::catalog::entries() {
+            let ma = entry.build();
+            for depth in 1..=4 {
+                let space = PrefixSpace::expand(&*ma, &[0, 1], depth, &CFG).unwrap();
+                let syntheses = [
+                    (space.component_assignment(), UniversalAlgorithm::synthesize(&space)),
+                    (
+                        space.strong_component_assignment(),
+                        UniversalAlgorithm::synthesize_strong(&space),
+                    ),
+                ];
+                for (assignment, alg) in syntheses {
+                    let (Some(assignment), Some(alg)) = (assignment, alg) else {
+                        continue;
+                    };
+                    let at = format!("{}@{depth}", entry.name);
+                    let oracle = bucket_map_table(&space, &assignment);
+                    assert_eq!(alg.decision_table(), oracle, "{at}");
+                    assert_eq!(alg.table_size(), oracle.len(), "{at}");
+                    for &(p, view, v) in &oracle {
+                        for q in 0..space.n() {
+                            assert_eq!(alg.bucket_decision(q, view), (q == p).then_some(v), "{at}");
+                        }
+                    }
+                    // Views interned past the horizon have no entry.
+                    let seq = &adversary::enumerate::admissible_sequences(&*ma, depth + 1)[0];
+                    let exec = engine::run(&alg, space.runs()[0].inputs(), seq);
+                    for (p, state) in exec.states[depth + 1].iter().enumerate() {
+                        assert!(state.view.index() >= space.table().len(), "{at}");
+                        assert_eq!(alg.bucket_decision(p, state.view), None, "{at}");
+                    }
+                    compared += 1;
+                }
+            }
+        }
+        // The solvable entries, from their separating depth on, twice each.
+        assert!(compared >= 30, "only {compared} syntheses compared");
     }
 
     #[test]

@@ -32,6 +32,15 @@ impl ViewId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The id at raw table index `i` — the inverse of
+    /// [`index`](Self::index), for tables indexed densely by view.
+    ///
+    /// # Panics
+    /// Panics if `i` exceeds the id space.
+    pub fn from_index(i: usize) -> ViewId {
+        ViewId(u32::try_from(i).expect("view table overflow"))
+    }
 }
 
 impl fmt::Display for ViewId {
@@ -262,7 +271,7 @@ impl ViewTable {
     }
 
     fn insert(&mut self, key: ViewKey, data: ViewData) -> ViewId {
-        let id = ViewId(u32::try_from(self.data.len()).expect("view table overflow"));
+        let id = ViewId::from_index(self.data.len());
         self.index.insert(key.clone(), id);
         self.keys.push(key);
         self.data.push(data);
@@ -400,7 +409,7 @@ impl<'a> ShardTable<'a> {
 
     fn insert(&mut self, key: ViewKey, data: ViewData) -> ViewId {
         let raw = self.base.len() + self.data.len();
-        let id = ViewId(u32::try_from(raw).expect("view table overflow"));
+        let id = ViewId::from_index(raw);
         self.index.insert(key.clone(), id);
         self.keys.push(key);
         self.data.push(data);

@@ -11,11 +11,21 @@
 //! * **Agreement** — all decided processes agree;
 //! * **Validity** — if all inputs are `v`, the only decision is `v`;
 //! * **Irrevocability** — decisions never change.
+//!
+//! # Execution model
+//!
+//! Runs share prefixes, so [`check`] executes each admissible prefix once
+//! per input assignment: it walks the sequences in prefix-tree order and
+//! resumes each one at the round where it forks from the previous one,
+//! restoring that round's configuration, first decisions and revocation
+//! flags. [`Algorithm`]s are deterministic, so the report is identical to
+//! running [`engine::run`] on every `(inputs, sequence)` pair, and
+//! [`CheckReport::runs_checked`] is inputs × sequences.
 
 use std::fmt;
 
 use adversary::{enumerate, MessageAdversary};
-use dyngraph::GraphSeq;
+use dyngraph::{GraphSeq, Round};
 use ptgraph::{all_inputs, Value};
 
 use crate::{engine, Algorithm};
@@ -93,9 +103,7 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Typed configuration of an exhaustive consensus check — the replacement
-/// for the positional `(depth, max_runs, require_termination,
-/// strong_validity)` tail of the legacy `check_consensus*` family.
+/// Typed configuration of an exhaustive consensus check.
 ///
 /// ```
 /// use simulator::checker::CheckConfig;
@@ -151,7 +159,7 @@ impl CheckConfig {
 }
 
 /// Summary of an exhaustive check.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckReport {
     /// Total `(inputs, sequence)` pairs executed.
     pub runs_checked: usize,
@@ -174,6 +182,14 @@ impl CheckReport {
 /// input domain `values`, per `cfg` (depth, budget, validity flavor) —
 /// the typed entry point of the checker.
 ///
+/// Each admissible prefix is executed once per input assignment: the
+/// sequences come in prefix-tree order, and each one resumes from the
+/// configuration, first decisions and revocation flags of the round where
+/// it forks from the previous one. The [`CheckReport`] equals per-run
+/// execution's ([`engine::run`] on every pair, inputs outer, sequences in
+/// enumeration order), violation order included, and
+/// [`CheckReport::runs_checked`] is inputs × sequences.
+///
 /// ```
 /// use simulator::algorithms::FloodMin;
 /// use simulator::checker::{check, CheckConfig};
@@ -187,258 +203,123 @@ impl CheckReport {
 /// ```
 ///
 /// # Errors
-/// Returns [`enumerate::BudgetExceeded`] if the prefix space exceeds
-/// `cfg.max_runs`.
+/// Returns [`enumerate::BudgetExceeded`] if inputs × sequences exceeds
+/// `cfg.max_runs` (an input count that overflows `usize` saturates, so
+/// `needed` is then `usize::MAX`).
 pub fn check<A: Algorithm>(
     alg: &A,
     ma: &dyn MessageAdversary,
     values: &[Value],
     cfg: &CheckConfig,
 ) -> Result<CheckReport, enumerate::BudgetExceeded> {
-    let seqs = {
-        // Reuse the enumeration (budget applies to inputs × sequences).
-        let inputs_count = values.len().pow(ma.n() as u32);
-        let seqs = enumerate::admissible_sequences(ma, cfg.depth);
-        if seqs.len() * inputs_count > cfg.max_runs {
-            return Err(enumerate::BudgetExceeded {
-                max_runs: cfg.max_runs,
-                needed: seqs.len() * inputs_count,
-            });
-        }
-        seqs
-    };
-    let inputs = all_inputs(ma.n(), values);
-    let mut report = CheckReport {
-        runs_checked: 0,
-        undecided_runs: 0,
-        max_decision_round: 0,
-        violations: Vec::new(),
-    };
-    for x in &inputs {
+    let n = ma.n();
+    let seqs = enumerate::admissible_sequences(ma, cfg.depth);
+    let needed = seqs.len().saturating_mul(enumerate::inputs_count(values, n));
+    if needed > cfg.max_runs {
+        return Err(enumerate::BudgetExceeded { max_runs: cfg.max_runs, needed });
+    }
+    let mut report = CheckReport::default();
+    // `frames[t]` is the configuration after round `t` of the current
+    // sequence, with the decision record up to `t`.
+    let mut frames: Vec<Frame<A::State>> = (0..=cfg.depth).map(|_| Frame::new(n)).collect();
+    for x in &all_inputs(n, values) {
+        let mut prev: Option<&GraphSeq> = None;
         for seq in &seqs {
-            check_one_run(alg, x, seq, cfg.require_termination, cfg.strong_validity, &mut report);
-        }
-    }
-    Ok(report)
-}
-
-/// Legacy positional form of [`check`].
-///
-/// # Errors
-/// Returns [`enumerate::BudgetExceeded`] if the prefix space exceeds
-/// `max_runs`.
-#[deprecated(since = "0.1.0", note = "use `checker::check` with a `CheckConfig`")]
-pub fn check_consensus<A: Algorithm>(
-    alg: &A,
-    ma: &dyn MessageAdversary,
-    values: &[Value],
-    depth: usize,
-    max_runs: usize,
-    require_termination: bool,
-) -> Result<CheckReport, enumerate::BudgetExceeded> {
-    check(
-        alg,
-        ma,
-        values,
-        &CheckConfig::at_depth(depth)
-            .max_runs(max_runs)
-            .require_termination(require_termination),
-    )
-}
-
-/// Legacy positional form of [`check`] with a strong-validity flag.
-///
-/// # Errors
-/// Returns [`enumerate::BudgetExceeded`] if the prefix space exceeds
-/// `max_runs`.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(since = "0.1.0", note = "use `checker::check` with a `CheckConfig`")]
-pub fn check_consensus_with<A: Algorithm>(
-    alg: &A,
-    ma: &dyn MessageAdversary,
-    values: &[Value],
-    depth: usize,
-    max_runs: usize,
-    require_termination: bool,
-    strong_validity: bool,
-) -> Result<CheckReport, enumerate::BudgetExceeded> {
-    check(alg, ma, values, &CheckConfig { depth, max_runs, require_termination, strong_validity })
-}
-
-/// Parallel variant of [`check`]: the `(inputs, sequence)` grid is split
-/// across `threads` scoped workers. Requires the algorithm to be [`Sync`]
-/// (the synthesized universal algorithm is: its interner sits behind a
-/// lock). The report is deterministic up to violation order (violations
-/// are sorted for stability).
-///
-/// # Errors
-/// Returns [`enumerate::BudgetExceeded`] as for [`check`].
-pub fn check_parallel<A>(
-    alg: &A,
-    ma: &(dyn MessageAdversary + Sync),
-    values: &[Value],
-    cfg: &CheckConfig,
-    threads: usize,
-) -> Result<CheckReport, enumerate::BudgetExceeded>
-where
-    A: Algorithm + Sync,
-{
-    assert!(threads >= 1, "need at least one worker");
-    let (require_termination, strong_validity) = (cfg.require_termination, cfg.strong_validity);
-    let seqs = {
-        let inputs_count = values.len().pow(ma.n() as u32);
-        let seqs = enumerate::admissible_sequences(ma, cfg.depth);
-        if seqs.len() * inputs_count > cfg.max_runs {
-            return Err(enumerate::BudgetExceeded {
-                max_runs: cfg.max_runs,
-                needed: seqs.len() * inputs_count,
-            });
-        }
-        seqs
-    };
-    let inputs = all_inputs(ma.n(), values);
-    let grid: Vec<(&Vec<Value>, &GraphSeq)> =
-        inputs.iter().flat_map(|x| seqs.iter().map(move |s| (x, s))).collect();
-
-    let chunk = grid.len().div_ceil(threads).max(1);
-    let partials: Vec<CheckReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = grid
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move || {
-                    let mut report = CheckReport {
-                        runs_checked: 0,
-                        undecided_runs: 0,
-                        max_decision_round: 0,
-                        violations: Vec::new(),
-                    };
-                    for &(x, seq) in part {
-                        check_one_run(
-                            alg,
-                            x,
-                            seq,
-                            require_termination,
-                            strong_validity,
-                            &mut report,
-                        );
+            // The first round not shared with the previous sequence.
+            let resume = prev
+                .map_or(0, |p| 1 + p.iter().zip(seq.iter()).take_while(|(a, b)| a == b).count());
+            for t in resume..=cfg.depth {
+                let (done, rest) = frames.split_at_mut(t);
+                let cur = &mut rest[0];
+                match done.last() {
+                    None => {
+                        cur.states.clear();
+                        cur.states.extend((0..n).map(|p| alg.init(p, x[p])));
+                        cur.decisions.fill(None);
+                        cur.revoked.fill(false);
                     }
-                    report
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
-
-    let mut report = CheckReport {
-        runs_checked: 0,
-        undecided_runs: 0,
-        max_decision_round: 0,
-        violations: Vec::new(),
-    };
-    for p in partials {
-        report.runs_checked += p.runs_checked;
-        report.undecided_runs += p.undecided_runs;
-        report.max_decision_round = report.max_decision_round.max(p.max_decision_round);
-        report.violations.extend(p.violations);
+                    Some(before) => {
+                        engine::step_round(alg, seq.graph(t), &before.states, &mut cur.states);
+                        cur.decisions.copy_from_slice(&before.decisions);
+                        cur.revoked.copy_from_slice(&before.revoked);
+                    }
+                }
+                engine::note_decisions(alg, t, &cur.states, &mut cur.decisions, &mut cur.revoked);
+            }
+            let leaf = &frames[cfg.depth];
+            check_leaf(x, seq, &leaf.decisions, &leaf.revoked, cfg, &mut report);
+            prev = Some(seq);
+        }
     }
-    report.violations.sort_by_key(|v| format!("{v}"));
     Ok(report)
 }
 
-/// Legacy positional form of [`check_parallel`].
-///
-/// # Errors
-/// Returns [`enumerate::BudgetExceeded`] as for [`check`].
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `checker::check_parallel` with a `CheckConfig`"
-)]
-pub fn check_consensus_parallel<A>(
-    alg: &A,
-    ma: &(dyn MessageAdversary + Sync),
-    values: &[Value],
-    depth: usize,
-    max_runs: usize,
-    require_termination: bool,
-    strong_validity: bool,
-    threads: usize,
-) -> Result<CheckReport, enumerate::BudgetExceeded>
-where
-    A: Algorithm + Sync,
-{
-    check_parallel(
-        alg,
-        ma,
-        values,
-        &CheckConfig { depth, max_runs, require_termination, strong_validity },
-        threads,
-    )
+/// A configuration of the prefix walk in [`check`], with each process's
+/// first decision and revocation flag up to its round.
+struct Frame<S> {
+    states: Vec<S>,
+    decisions: Vec<Option<(Round, Value)>>,
+    revoked: Vec<bool>,
 }
 
-/// Check one `(inputs, sequence)` cell; shared by the sequential and
-/// parallel checkers.
-fn check_one_run<A: Algorithm>(
-    alg: &A,
+impl<S> Frame<S> {
+    fn new(n: usize) -> Self {
+        Frame { states: Vec::with_capacity(n), decisions: vec![None; n], revoked: vec![false; n] }
+    }
+}
+
+/// Check one executed run against Definition 5.1, given each process's
+/// first decision and revocation flag at its horizon.
+fn check_leaf(
     x: &[Value],
     seq: &GraphSeq,
-    require_termination: bool,
-    strong_validity: bool,
+    decisions: &[Option<(Round, Value)>],
+    revoked: &[bool],
+    cfg: &CheckConfig,
     report: &mut CheckReport,
 ) {
-    let valent = x.iter().all(|&v| v == x[0]).then_some(x[0]);
     report.runs_checked += 1;
-    let exec = engine::run(alg, x, seq);
-    if exec.any_revoked() {
+    let decided = || decisions.iter().flatten().map(|&(_, v)| v);
+    if revoked.contains(&true) {
         report
             .violations
             .push(Violation::Irrevocability { inputs: x.to_vec(), seq: seq.clone() });
     }
-    if !exec.agreement_holds() {
-        let mut vals: Vec<Value> = (0..exec.n()).filter_map(|p| exec.value_of(p)).collect();
-        vals.sort_unstable();
-        vals.dedup();
+    let first = decided().next();
+    if decided().any(|v| Some(v) != first) {
+        let mut values: Vec<Value> = decided().collect();
+        values.sort_unstable();
+        values.dedup();
         report.violations.push(Violation::Agreement {
             inputs: x.to_vec(),
             seq: seq.clone(),
-            values: vals,
+            values,
         });
     }
-    if let Some(v) = valent {
-        for p in 0..exec.n() {
-            if exec.value_of(p).is_some_and(|d| d != v) {
-                report.violations.push(Violation::Validity {
-                    expected: v,
-                    decided: exec.value_of(p).expect("checked"),
-                    seq: seq.clone(),
-                });
-                break;
-            }
+    if x.iter().all(|&v| v == x[0]) {
+        if let Some(d) = decided().find(|&d| d != x[0]) {
+            report.violations.push(Violation::Validity {
+                expected: x[0],
+                decided: d,
+                seq: seq.clone(),
+            });
         }
     }
-    if strong_validity {
-        for p in 0..exec.n() {
-            if let Some(d) = exec.value_of(p) {
-                if !x.contains(&d) {
-                    report.violations.push(Violation::StrongValidity {
-                        inputs: x.to_vec(),
-                        decided: d,
-                        seq: seq.clone(),
-                    });
-                    break;
-                }
-            }
+    if cfg.strong_validity {
+        if let Some(d) = decided().find(|d| !x.contains(d)) {
+            report.violations.push(Violation::StrongValidity {
+                inputs: x.to_vec(),
+                decided: d,
+                seq: seq.clone(),
+            });
         }
     }
-    if exec.all_decided() {
-        for p in 0..exec.n() {
-            if let Some((r, _)) = exec.decision_of(p) {
-                report.max_decision_round = report.max_decision_round.max(r);
-            }
-        }
+    if decisions.iter().all(Option::is_some) {
+        let last = decisions.iter().flatten().map(|&(r, _)| r).max().unwrap_or(0);
+        report.max_decision_round = report.max_decision_round.max(last);
     } else {
         report.undecided_runs += 1;
-        if require_termination {
+        if cfg.require_termination {
             report
                 .violations
                 .push(Violation::Termination { inputs: x.to_vec(), seq: seq.clone() });
@@ -462,60 +343,16 @@ pub fn check_consensus_sampled<A: Algorithm, R: rand::Rng + ?Sized>(
     require_termination: bool,
     rng: &mut R,
 ) -> CheckReport {
-    let mut report = CheckReport {
-        runs_checked: 0,
-        undecided_runs: 0,
-        max_decision_round: 0,
-        violations: Vec::new(),
-    };
+    let cfg = CheckConfig::at_depth(depth).require_termination(require_termination);
+    let mut report = CheckReport::default();
     for _ in 0..samples {
         let seq = match adversary::sample::random_prefix(ma, rng, depth) {
             Some(seq) => seq,
             None => continue,
         };
         let x = adversary::sample::random_inputs(rng, ma.n(), values);
-        let valent = x.iter().all(|&v| v == x[0]).then_some(x[0]);
-        report.runs_checked += 1;
         let exec = engine::run(alg, &x, &seq);
-        if exec.any_revoked() {
-            report
-                .violations
-                .push(Violation::Irrevocability { inputs: x.clone(), seq: seq.clone() });
-        }
-        if !exec.agreement_holds() {
-            let mut vals: Vec<Value> = (0..exec.n()).filter_map(|p| exec.value_of(p)).collect();
-            vals.sort_unstable();
-            vals.dedup();
-            report.violations.push(Violation::Agreement {
-                inputs: x.clone(),
-                seq: seq.clone(),
-                values: vals,
-            });
-        }
-        if let Some(v) = valent {
-            for p in 0..exec.n() {
-                if exec.value_of(p).is_some_and(|d| d != v) {
-                    report.violations.push(Violation::Validity {
-                        expected: v,
-                        decided: exec.value_of(p).expect("checked above"),
-                        seq: seq.clone(),
-                    });
-                    break;
-                }
-            }
-        }
-        if exec.all_decided() {
-            for p in 0..exec.n() {
-                if let Some((r, _)) = exec.decision_of(p) {
-                    report.max_decision_round = report.max_decision_round.max(r);
-                }
-            }
-        } else {
-            report.undecided_runs += 1;
-            if require_termination {
-                report.violations.push(Violation::Termination { inputs: x, seq });
-            }
-        }
+        check_leaf(&x, &seq, &exec.decisions, &exec.revoked, &cfg, &mut report);
     }
     report
 }
@@ -580,28 +417,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_checker_matches_sequential() {
-        let ma = GeneralMA::oblivious(generators::lossy_link_full());
-        for alg_round in [1usize, 2] {
-            let alg = FloodMin::new(alg_round);
-            let cfg = CheckConfig::at_depth(3).max_runs(100_000);
-            let seq_report = check(&alg, &ma, &[0, 1], &cfg).unwrap();
-            let par_report = check_parallel(&alg, &ma, &[0, 1], &cfg, 4).unwrap();
-            assert_eq!(seq_report.runs_checked, par_report.runs_checked);
-            assert_eq!(seq_report.undecided_runs, par_report.undecided_runs);
-            assert_eq!(seq_report.max_decision_round, par_report.max_decision_round);
-            assert_eq!(seq_report.passed(), par_report.passed());
-            assert_eq!(seq_report.violations.len(), par_report.violations.len());
-        }
-    }
-
-    #[test]
-    fn parallel_checker_single_thread() {
-        let ma = GeneralMA::oblivious(generators::lossy_link_reduced());
-        let cfg = CheckConfig::at_depth(3).max_runs(100_000);
-        let report = check_parallel(&DirectionRule, &ma, &[0, 1], &cfg, 1).unwrap();
-        assert!(report.passed());
-        assert_eq!(report.runs_checked, 4 * 8);
+    fn budget_saturates_on_overflowing_input_count() {
+        // 256⁸ = 2⁶⁴ input assignments overflow usize.
+        let ma = GeneralMA::oblivious(vec![dyngraph::Digraph::complete(8)]);
+        let values: Vec<Value> = (0..256).collect();
+        let err = check(&FloodMin::new(1), &ma, &values, &CheckConfig::at_depth(1)).unwrap_err();
+        assert_eq!(err.needed, usize::MAX);
+        assert_eq!(err.max_runs, CheckConfig::at_depth(1).max_runs);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The round engine: execute an [`Algorithm`] over a run.
 
-use dyngraph::{GraphSeq, Pid, Round};
+use dyngraph::{Digraph, GraphSeq, Pid, Round};
 use ptgraph::Value;
 
 use crate::Algorithm;
@@ -13,10 +13,10 @@ pub struct Execution<S> {
     /// initial configuration).
     pub states: Vec<Vec<S>>,
     /// First decision of each process: `(round, value)`.
-    decisions: Vec<Option<(Round, Value)>>,
+    pub(crate) decisions: Vec<Option<(Round, Value)>>,
     /// Whether some process changed its decision value after deciding — a
     /// violation of irrevocability.
-    revoked: Vec<bool>,
+    pub(crate) revoked: Vec<bool>,
 }
 
 impl<S> Execution<S> {
@@ -85,37 +85,54 @@ pub fn run<A: Algorithm>(alg: &A, inputs: &[Value], seq: &GraphSeq) -> Execution
     }
     let mut states: Vec<Vec<A::State>> = Vec::with_capacity(seq.rounds() + 1);
     states.push((0..n).map(|p| alg.init(p, inputs[p])).collect());
-
-    let mut decisions: Vec<Option<(Round, Value)>> = vec![None; n];
+    let mut decisions = vec![None; n];
     let mut revoked = vec![false; n];
-    let note_decisions = |t: Round,
-                          sts: &[A::State],
-                          decisions: &mut Vec<Option<(Round, Value)>>,
-                          revoked: &mut Vec<bool>| {
-        for (p, s) in sts.iter().enumerate() {
-            match (decisions[p], alg.decision(p, s)) {
-                (None, Some(v)) => decisions[p] = Some((t, v)),
-                (Some((_, v0)), Some(v1)) if v0 != v1 => revoked[p] = true,
-                (Some(_), None) => revoked[p] = true,
-                _ => {}
-            }
-        }
-    };
-    note_decisions(0, &states[0], &mut decisions, &mut revoked);
-
-    for t in 1..=seq.rounds() {
-        let g = seq.graph(t);
-        let prev = &states[t - 1];
+    note_decisions(alg, 0, &states[0], &mut decisions, &mut revoked);
+    for (t, g) in (1..).zip(seq.iter()) {
         let mut cur = Vec::with_capacity(n);
-        for q in 0..n {
-            let received: Vec<(Pid, A::State)> =
-                g.in_neighbors(q).filter(|&p| p != q).map(|p| (p, prev[p].clone())).collect();
-            cur.push(alg.step(q, &prev[q], &received));
-        }
-        note_decisions(t, &cur, &mut decisions, &mut revoked);
+        step_round(alg, g, &states[t - 1], &mut cur);
+        note_decisions(alg, t, &cur, &mut decisions, &mut revoked);
         states.push(cur);
     }
     Execution { states, decisions, revoked }
+}
+
+/// One send–receive–compute round under `g`: every process `q` receives
+/// its in-neighbors' states from `prev`, sorted by sender, and steps. The
+/// new configuration replaces the contents of `next`.
+pub(crate) fn step_round<A: Algorithm>(
+    alg: &A,
+    g: &Digraph,
+    prev: &[A::State],
+    next: &mut Vec<A::State>,
+) {
+    next.clear();
+    let mut received = Vec::new();
+    for (q, state) in prev.iter().enumerate() {
+        received.clear();
+        received.extend(g.in_neighbors(q).filter(|&p| p != q).map(|p| (p, prev[p].clone())));
+        next.push(alg.step(q, state, &received));
+    }
+}
+
+/// Read the decisions off the configuration after round `t`: record each
+/// process's first decision and flag a process that changes or withdraws
+/// one it took earlier.
+pub(crate) fn note_decisions<A: Algorithm>(
+    alg: &A,
+    t: Round,
+    states: &[A::State],
+    decisions: &mut [Option<(Round, Value)>],
+    revoked: &mut [bool],
+) {
+    for (p, s) in states.iter().enumerate() {
+        match (decisions[p], alg.decision(p, s)) {
+            (None, Some(v)) => decisions[p] = Some((t, v)),
+            (Some((_, v0)), Some(v1)) if v0 != v1 => revoked[p] = true,
+            (Some(_), None) => revoked[p] = true,
+            _ => {}
+        }
+    }
 }
 
 #[cfg(test)]

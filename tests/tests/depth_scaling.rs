@@ -60,7 +60,8 @@ fn interner_sharing_is_effective() {
     );
 }
 
-/// The parallel verifier agrees with the sequential one on a deep space.
+/// The exhaustive verifier passes the depth-3 certificate's algorithm on
+/// every run of a deeper horizon, and counts inputs × sequences.
 #[test]
 fn parallel_verifier_deep_agreement() {
     use consensus_core::solvability::Verdict;
@@ -70,13 +71,10 @@ fn parallel_verifier_deep_agreement() {
         other => panic!("expected solvable: {other:?}"),
     };
     let check_cfg = simulator::checker::CheckConfig::at_depth(6).max_runs(5_000_000);
-    let seq_report = simulator::checker::check(&cert.algorithm, &ma, &[0, 1], &check_cfg).unwrap();
-    let par_report =
-        simulator::checker::check_parallel(&cert.algorithm, &ma, &[0, 1], &check_cfg, 4).unwrap();
-    assert!(seq_report.passed() && par_report.passed());
-    assert_eq!(seq_report.runs_checked, par_report.runs_checked);
-    assert_eq!(seq_report.max_decision_round, par_report.max_decision_round);
-    assert_eq!(seq_report.runs_checked, 4 * 2usize.pow(6));
+    let report = simulator::checker::check(&cert.algorithm, &ma, &[0, 1], &check_cfg).unwrap();
+    assert!(report.passed());
+    assert_eq!(report.undecided_runs, 0);
+    assert_eq!(report.runs_checked, 4 * 2usize.pow(6));
 }
 
 /// Boundary census consistency at depth: admissible counts from the census

@@ -8,8 +8,10 @@ use consensus_core::{
     space::PrefixSpace,
     universal::UniversalAlgorithm,
 };
-use dyngraph::{generators, Digraph, GraphSeq};
-use simulator::{checker, engine};
+use dyngraph::{generators, Digraph, GraphSeq, Pid};
+use ptgraph::Value;
+use simulator::checker::{CheckConfig, CheckReport, Violation};
+use simulator::{checker, engine, Algorithm};
 
 fn solvable_cert(ma: GeneralMA, depth: usize) -> consensus_core::solvability::SolvableCert {
     match SolvabilityChecker::new(ma).max_depth(depth).max_runs(4_000_000).check() {
@@ -134,4 +136,214 @@ fn synthesis_deterministic() {
             }
         }
     }
+}
+
+/// The per-run oracle for `checker::check`: `engine::run` on every
+/// `(inputs, sequence)` pair, inputs outer, then the Definition 5.1 checks
+/// of each run in order. The budget is not checked.
+fn per_run_check<A: Algorithm>(
+    alg: &A,
+    ma: &dyn MessageAdversary,
+    values: &[Value],
+    cfg: &CheckConfig,
+) -> CheckReport {
+    let seqs = adversary::enumerate::admissible_sequences(ma, cfg.depth);
+    let mut report = CheckReport::default();
+    for x in ptgraph::all_inputs(ma.n(), values) {
+        for seq in &seqs {
+            let exec = engine::run(alg, &x, seq);
+            report.runs_checked += 1;
+            if exec.any_revoked() {
+                report
+                    .violations
+                    .push(Violation::Irrevocability { inputs: x.clone(), seq: seq.clone() });
+            }
+            if !exec.agreement_holds() {
+                let mut values: Vec<Value> =
+                    (0..exec.n()).filter_map(|p| exec.value_of(p)).collect();
+                values.sort_unstable();
+                values.dedup();
+                report.violations.push(Violation::Agreement {
+                    inputs: x.clone(),
+                    seq: seq.clone(),
+                    values,
+                });
+            }
+            if x.iter().all(|&v| v == x[0]) {
+                if let Some(decided) =
+                    (0..exec.n()).filter_map(|p| exec.value_of(p)).find(|&d| d != x[0])
+                {
+                    report.violations.push(Violation::Validity {
+                        expected: x[0],
+                        decided,
+                        seq: seq.clone(),
+                    });
+                }
+            }
+            if cfg.strong_validity {
+                if let Some(decided) =
+                    (0..exec.n()).filter_map(|p| exec.value_of(p)).find(|d| !x.contains(d))
+                {
+                    report.violations.push(Violation::StrongValidity {
+                        inputs: x.clone(),
+                        decided,
+                        seq: seq.clone(),
+                    });
+                }
+            }
+            if exec.all_decided() {
+                for p in 0..exec.n() {
+                    let (round, _) = exec.decision_of(p).expect("all decided");
+                    report.max_decision_round = report.max_decision_round.max(round);
+                }
+            } else {
+                report.undecided_runs += 1;
+                if cfg.require_termination {
+                    report
+                        .violations
+                        .push(Violation::Termination { inputs: x.clone(), seq: seq.clone() });
+                }
+            }
+        }
+    }
+    report
+}
+
+/// A test-only algorithm that breaks the consensus properties in ways that
+/// depend on the sequence. At round 1 each process decides its input plus
+/// the number of messages it received. At round 2, a process that receives
+/// a message withdraws its decision (process 0) or switches back to its
+/// input (the others). Runs that share round 1 thus differ in revocations.
+struct Revoker;
+
+#[derive(Debug, Clone)]
+struct RevokerState {
+    x: Value,
+    round: usize,
+    decided: Option<Value>,
+}
+
+impl Algorithm for Revoker {
+    type State = RevokerState;
+
+    fn init(&self, _p: Pid, x: Value) -> RevokerState {
+        RevokerState { x, round: 0, decided: None }
+    }
+
+    fn step(&self, p: Pid, s: &RevokerState, received: &[(Pid, RevokerState)]) -> RevokerState {
+        let round = s.round + 1;
+        let decided = match round {
+            1 => Some(s.x + received.len() as Value),
+            2 if !received.is_empty() => (p != 0).then_some(s.x),
+            _ => s.decided,
+        };
+        RevokerState { x: s.x, round, decided }
+    }
+
+    fn decision(&self, _p: Pid, s: &RevokerState) -> Option<Value> {
+        s.decided
+    }
+}
+
+fn violation_kind(v: &Violation) -> &'static str {
+    match v {
+        Violation::Agreement { .. } => "agreement",
+        Violation::Validity { .. } => "validity",
+        Violation::Irrevocability { .. } => "irrevocability",
+        Violation::StrongValidity { .. } => "strong-validity",
+        Violation::Termination { .. } => "termination",
+    }
+}
+
+/// Assert `checker::check` equals the per-run oracle in all four report
+/// fields, violation order included; note the violation kinds seen.
+fn assert_matches_oracle<A: Algorithm>(
+    walked_alg: &A,
+    oracle_alg: &A,
+    ma: &dyn MessageAdversary,
+    values: &[Value],
+    cfg: &CheckConfig,
+    at: &str,
+    kinds: &mut std::collections::BTreeSet<&'static str>,
+) {
+    let walked =
+        checker::check(walked_alg, ma, values, cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
+    assert_eq!(walked, per_run_check(oracle_alg, ma, values, cfg), "{at}");
+    kinds.extend(walked.violations.iter().map(violation_kind));
+}
+
+/// `checker::check` executes each admissible prefix once per input
+/// assignment; its report must equal per-run execution's over the catalog
+/// at depths 1..=5, for the reference algorithms, the revoking one and the
+/// synthesized universal algorithm (also one round past its horizon, where
+/// it interns new views in the same order), with strong validity and
+/// required termination on and off; and over {0, 1, 2} at depths 1..=3 for
+/// the weak and strong syntheses.
+#[test]
+fn prefix_walk_matches_per_run_oracle_on_catalog() {
+    use simulator::algorithms::{AdaptiveFlood, DirectionRule, FloodMin};
+    let mut kinds = std::collections::BTreeSet::new();
+    let modes = [(false, false), (true, true)];
+    for entry in adversary::catalog::entries() {
+        let ma = entry.build();
+        for depth in 1..=5 {
+            let space = PrefixSpace::expand(&*ma, &[0, 1], depth, &ExpandConfig::default())
+                .unwrap_or_else(|e| panic!("{}@{depth}: {e}", entry.name));
+            for (strong, term) in modes {
+                let cfg =
+                    CheckConfig::at_depth(depth).strong_validity(strong).require_termination(term);
+                let at = format!("{}@{depth} strong={strong} term={term}", entry.name);
+                let ma = &*ma;
+                let k = &mut kinds;
+                for flood in [FloodMin::new(1), FloodMin::new(depth)] {
+                    assert_matches_oracle(&flood, &flood, ma, &[0, 1], &cfg, &at, k);
+                }
+                assert_matches_oracle(&DirectionRule, &DirectionRule, ma, &[0, 1], &cfg, &at, k);
+                let adaptive = AdaptiveFlood::new(1);
+                assert_matches_oracle(&adaptive, &adaptive, ma, &[0, 1], &cfg, &at, k);
+                assert_matches_oracle(&Revoker, &Revoker, ma, &[0, 1], &cfg, &at, k);
+                if !space.separation().is_separated() {
+                    continue;
+                }
+                // Fresh instances per side: each run interns into its own table.
+                let (walked, oracle) = (
+                    UniversalAlgorithm::synthesize(&space).unwrap(),
+                    UniversalAlgorithm::synthesize(&space).unwrap(),
+                );
+                for d in [depth, depth + 1] {
+                    let cfg = CheckConfig { depth: d, ..cfg };
+                    assert_matches_oracle(&walked, &oracle, ma, &[0, 1], &cfg, &at, k);
+                }
+                assert!(walked.with_view_table(|a| oracle.with_view_table(|b| a == b)), "{at}");
+            }
+        }
+        for depth in 1..=3 {
+            let space = PrefixSpace::expand(&*ma, &[0, 1, 2], depth, &ExpandConfig::default())
+                .unwrap_or_else(|e| panic!("{}@{depth}: {e}", entry.name));
+            let syntheses: [fn(&PrefixSpace) -> Option<UniversalAlgorithm>; 2] =
+                [UniversalAlgorithm::synthesize, UniversalAlgorithm::synthesize_strong];
+            for synthesize in syntheses {
+                let (Some(walked), Some(oracle)) = (synthesize(&space), synthesize(&space)) else {
+                    continue;
+                };
+                for (strong, term) in modes {
+                    let cfg = CheckConfig::at_depth(depth)
+                        .strong_validity(strong)
+                        .require_termination(term);
+                    let at = format!("{}@{depth} over 0..3 strong={strong}", entry.name);
+                    assert_matches_oracle(
+                        &walked,
+                        &oracle,
+                        &*ma,
+                        &[0, 1, 2],
+                        &cfg,
+                        &at,
+                        &mut kinds,
+                    );
+                }
+            }
+        }
+    }
+    let all = ["agreement", "irrevocability", "strong-validity", "termination", "validity"];
+    assert_eq!(kinds.into_iter().collect::<Vec<_>>(), all);
 }
