@@ -54,9 +54,10 @@ pub struct ExpandStats {
 
 /// The expanded prefix space at a fixed depth.
 ///
-/// Cloning is a deep copy of the runs and the view table — much cheaper
-/// than re-expanding, which is what lets caching layers *ladder* a cached
-/// expansion to a deeper one without giving up the original.
+/// Cloning copies the runs and the view table (a few flat vectors of `Copy`
+/// data, so a few `memcpy`s) — much cheaper than re-expanding, which is
+/// what lets caching layers *ladder* a cached expansion to a deeper one
+/// without giving up the original.
 #[derive(Debug, Clone)]
 pub struct Expansion {
     /// All admissible runs: `inputs × admissible sequences`, in

@@ -104,12 +104,11 @@ impl Algorithm for FullDepthAlgorithm {
         state: &FullDepthState,
         received: &[(Pid, FullDepthState)],
     ) -> FullDepthState {
-        let rec: Vec<(Pid, ViewId)> = received.iter().map(|&(q, ref s)| (q, s.view)).collect();
-        let view = self
-            .table
-            .lock()
-            .expect("interner lock poisoned")
-            .intern_round(p, state.view, &rec);
+        let view = self.table.lock().expect("interner lock poisoned").intern_round(
+            p,
+            state.view,
+            received.iter().map(|&(q, ref s)| (q, s.view)),
+        );
         let round = state.round + 1;
         let decided = state.decided.or_else(|| {
             (round == self.depth).then(|| self.decisions.get(&(p, view)).copied()).flatten()

@@ -173,12 +173,11 @@ impl Algorithm for UniversalAlgorithm {
         state: &UniversalState,
         received: &[(Pid, UniversalState)],
     ) -> UniversalState {
-        let rec: Vec<(Pid, ViewId)> = received.iter().map(|&(q, ref s)| (q, s.view)).collect();
-        let view = self
-            .table
-            .lock()
-            .expect("interner lock poisoned")
-            .intern_round(p, state.view, &rec);
+        let view = self.table.lock().expect("interner lock poisoned").intern_round(
+            p,
+            state.view,
+            received.iter().map(|&(q, ref s)| (q, s.view)),
+        );
         let decided = state.decided.or_else(|| self.bucket_decision(p, view));
         UniversalState { view, decided }
     }

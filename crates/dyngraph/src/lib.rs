@@ -108,7 +108,14 @@ pub mod mask {
 
     /// Iterate over the members of `m` in increasing order.
     pub fn iter(m: PidMask) -> impl Iterator<Item = Pid> {
-        (0..32u32).filter(move |p| m & (1 << p) != 0).map(|p| p as Pid)
+        let mut rest = m;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let p = rest.trailing_zeros() as Pid;
+                rest &= rest - 1;
+                p
+            })
+        })
     }
 
     /// The members of `m` as a sorted `Vec`.

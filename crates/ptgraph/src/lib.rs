@@ -7,7 +7,7 @@
 //! * [`PtGraph`] — the explicit process-time graph `PT^t` of §3 (Fig. 2):
 //!   nodes `(p, 0, x_p)` and `(p, t)`, edges `(p, t−1) → (q, t)` iff
 //!   `(p, q) ∈ G_t`.
-//! * [`ViewTable`] / [`ViewId`] — hash-consed local views. The view
+//! * [`ViewTable`] / [`ViewId`] — interned local views, stored flat. The view
 //!   `V_{p}(PT^t)` is `p`'s causal past; two runs are indistinguishable to
 //!   `p` through round `t` iff their interned view ids at time `t` are equal.
 //!   This is the workhorse of the whole reproduction: the paper's distances

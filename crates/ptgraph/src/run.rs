@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use dyngraph::{influence::InfluenceTracker, GraphSeq, Lasso, Pid, Round};
+use dyngraph::{influence::InfluenceTracker, Digraph, GraphSeq, Lasso, Pid, Round};
 
 use crate::{Inputs, Value, ViewId, ViewInterner, ViewTable};
 
@@ -29,8 +29,9 @@ use crate::{Inputs, Value, ViewId, ViewInterner, ViewTable};
 pub struct PrefixRun {
     inputs: Inputs,
     seq: GraphSeq,
-    /// `views[t][p]` = view of `p` at time `t`, for `0 ≤ t ≤ seq.rounds()`.
-    views: Vec<Vec<ViewId>>,
+    /// Every view, by time and then process: entry `t·n + p` is the view
+    /// of `p` at time `t`, for `0 ≤ t ≤ seq.rounds()`.
+    views: Vec<ViewId>,
 }
 
 impl PrefixRun {
@@ -40,28 +41,16 @@ impl PrefixRun {
     /// # Panics
     /// Panics if `inputs.len()` disagrees with `table.n()` or with the
     /// graphs of `seq`.
-    pub fn compute<T: ViewInterner + ?Sized>(
-        inputs: Inputs,
-        seq: &GraphSeq,
-        table: &mut T,
-    ) -> Self {
+    pub fn compute<T: ViewInterner>(inputs: Inputs, seq: &GraphSeq, table: &mut T) -> Self {
         let n = table.n();
         assert_eq!(inputs.len(), n, "inputs must cover every process");
         if let Some(m) = seq.n() {
             assert_eq!(m, n, "sequence and table disagree on n");
         }
-        let mut views: Vec<Vec<ViewId>> = Vec::with_capacity(seq.rounds() + 1);
-        views.push((0..n).map(|p| table.intern_initial(p, inputs[p])).collect());
+        let mut views = Vec::with_capacity((seq.rounds() + 1) * n);
+        views.extend((0..n).map(|p| table.intern_initial(p, inputs[p])));
         for t in 1..=seq.rounds() {
-            let g = seq.graph(t);
-            let prev = &views[t - 1];
-            let mut cur = Vec::with_capacity(n);
-            for q in 0..n {
-                let received: Vec<(Pid, ViewId)> =
-                    g.in_neighbors(q).map(|p| (p, prev[p])).collect();
-                cur.push(table.intern_round(q, prev[q], &received));
-            }
-            views.push(cur);
+            push_round(&mut views, n, seq.graph(t), table);
         }
         PrefixRun { inputs, seq: seq.clone(), views }
     }
@@ -91,12 +80,17 @@ impl PrefixRun {
     /// # Panics
     /// Panics if `p` or `t` is out of range.
     pub fn view(&self, p: Pid, t: usize) -> ViewId {
-        self.views[t][p]
+        assert!(p < self.n() && t <= self.rounds(), "no view of p{p} at time {t}");
+        self.views[t * self.n() + p]
     }
 
     /// All views at time `t`, indexed by process.
+    ///
+    /// # Panics
+    /// Panics if `t > rounds()`.
     pub fn views_at(&self, t: usize) -> &[ViewId] {
-        &self.views[t]
+        assert!(t <= self.rounds(), "no views at time {t}");
+        &self.views[t * self.n()..][..self.n()]
     }
 
     /// Whether this run is `v`-valent: every process starts with `v`.
@@ -120,11 +114,9 @@ impl PrefixRun {
     /// # Panics
     /// Panics if a local id falls outside `remap`.
     pub fn remap_views(&mut self, base_len: usize, remap: &[ViewId]) {
-        for level in &mut self.views {
-            for v in level {
-                if v.index() >= base_len {
-                    *v = remap[v.index() - base_len];
-                }
+        for v in &mut self.views {
+            if let Some(i) = v.index().checked_sub(base_len) {
+                *v = remap[i];
             }
         }
     }
@@ -133,19 +125,24 @@ impl PrefixRun {
     ///
     /// # Panics
     /// Panics on mismatched `n`.
-    pub fn extended<T: ViewInterner + ?Sized>(&self, g: dyngraph::Digraph, table: &mut T) -> Self {
+    pub fn extended<T: ViewInterner>(&self, g: Digraph, table: &mut T) -> Self {
         let n = self.n();
         assert_eq!(g.n(), n);
-        let t = self.rounds();
-        let prev = &self.views[t];
-        let mut cur = Vec::with_capacity(n);
-        for q in 0..n {
-            let received: Vec<(Pid, ViewId)> = g.in_neighbors(q).map(|p| (p, prev[p])).collect();
-            cur.push(table.intern_round(q, prev[q], &received));
-        }
-        let mut views = self.views.clone();
-        views.push(cur);
+        let mut views = Vec::with_capacity(self.views.len() + n);
+        views.extend_from_slice(&self.views);
+        push_round(&mut views, n, &g, table);
         PrefixRun { inputs: self.inputs.clone(), seq: self.seq.extended(g), views }
+    }
+}
+
+/// Intern the views of the round with graph `g` after the last `n` views of
+/// `views`, and append them.
+fn push_round<T: ViewInterner>(views: &mut Vec<ViewId>, n: usize, g: &Digraph, table: &mut T) {
+    let last = views.len() - n;
+    for q in 0..n {
+        let prev = &views[last..];
+        let view = table.intern_round(q, prev[q], g.in_neighbors(q).map(|p| (p, prev[p])));
+        views.push(view);
     }
 }
 
@@ -246,7 +243,6 @@ impl fmt::Display for InfiniteRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyngraph::Digraph;
 
     fn table2() -> ViewTable {
         ViewTable::new(2)
@@ -308,6 +304,47 @@ mod tests {
         let direct = PrefixRun::compute(vec![1, 0], &seq.extended(g), &mut t);
         assert_eq!(ext.views_at(2), direct.views_at(2));
         assert_eq!(ext.seq(), direct.seq());
+    }
+
+    #[test]
+    fn extended_matches_recompute_n3() {
+        let mut t = ViewTable::new(3);
+        let graphs = [
+            Digraph::from_edges(3, &[(0, 1), (2, 0)]).unwrap(),
+            Digraph::from_edges(3, &[(1, 2), (1, 0)]).unwrap(),
+            Digraph::from_edges(3, &[(2, 1), (0, 2), (1, 0)]).unwrap(),
+        ];
+        let mut run = PrefixRun::compute(vec![0, 1, 1], &GraphSeq::new(), &mut t);
+        for (i, g) in graphs.iter().enumerate() {
+            run = run.extended(g.clone(), &mut t);
+            let seq = GraphSeq::from_graphs(graphs[..=i].to_vec());
+            assert_eq!(run, PrefixRun::compute(vec![0, 1, 1], &seq, &mut t), "round {}", i + 1);
+        }
+        assert_eq!(t.data(run.view(2, 3)).heard, 0b111);
+    }
+
+    /// A run over `->` with `n = 2`: views at times 0 and 1.
+    fn one_round() -> PrefixRun {
+        PrefixRun::compute(vec![0, 1], &GraphSeq::parse2("->").unwrap(), &mut table2())
+    }
+
+    #[test]
+    #[should_panic(expected = "no view of p2 at time 0")]
+    fn view_rejects_process_out_of_range() {
+        // Flat storage would otherwise read p0's view at time 1.
+        one_round().view(2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no view of p0 at time 2")]
+    fn view_rejects_time_past_horizon() {
+        one_round().view(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "no views at time 2")]
+    fn views_at_rejects_time_past_horizon() {
+        one_round().views_at(2);
     }
 
     #[test]
