@@ -20,17 +20,23 @@
 //! byte-identical for every worker count, so fingerprint-keyed caches and
 //! persisted verdicts never observe which engine produced a space.
 //!
+//! Each admissible sequence is stored once, behind an `Arc` that every run
+//! over it shares; runs with equal inputs share one inputs slice too. The
+//! first [`Expansion::sequence_count`] runs therefore list the admissible
+//! sequences in enumeration order ([`Expansion::sequences`]), the same list
+//! [`admissible_sequences`] returns.
+//!
 //! [`ViewId`]: ptgraph::ViewId
 
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use consensus_obs::trace::tracer;
 use dyngraph::{Digraph, GraphSeq};
-use ptgraph::{all_inputs, Inputs, LocalViews, PrefixRun, ShardTable, Value, ViewTable};
+use ptgraph::{all_inputs, LocalViews, PrefixRun, ShardTable, Value, ViewInterner, ViewTable};
 
 use crate::arena::SeqArena;
 use crate::MessageAdversary;
@@ -54,10 +60,10 @@ pub struct ExpandStats {
 
 /// The expanded prefix space at a fixed depth.
 ///
-/// Cloning copies the runs and the view table (a few flat vectors of `Copy`
-/// data, so a few `memcpy`s) — much cheaper than re-expanding, which is
-/// what lets caching layers *ladder* a cached expansion to a deeper one
-/// without giving up the original.
+/// Cloning copies the view table and each run's views, but not the
+/// sequences or inputs, which the clone shares. Laddering to a deeper
+/// expansion does not clone at all: [`Expansion::extended`] reads these
+/// runs and copies only the view table.
 #[derive(Debug, Clone)]
 pub struct Expansion {
     /// All admissible runs: `inputs × admissible sequences`, in
@@ -87,6 +93,40 @@ impl Expansion {
     /// Number of processes.
     pub fn n(&self) -> usize {
         self.table.n()
+    }
+
+    /// The admissible depth-`t` sequences in enumeration order: those of
+    /// the first [`sequence_count`](Self::sequence_count) runs. They equal
+    /// [`admissible_sequences`] at this depth.
+    ///
+    /// # Panics
+    /// Panics unless the runs are laid out input-major (run `i` under the
+    /// sequence of run `i mod sequence_count()`), as every expansion built
+    /// or extended here is.
+    pub fn sequences(&self) -> impl ExactSizeIterator<Item = &GraphSeq> + Clone {
+        let k = self.sequence_count();
+        assert!(self.is_input_major(k), "runs are not laid out input-major");
+        self.runs[..k].iter().map(PrefixRun::seq)
+    }
+
+    /// Whether the runs are `k` sequences under each input assignment, in
+    /// the same order every time. Runs of one expansion share their
+    /// sequences, so this is a pointer comparison per run.
+    fn is_input_major(&self, k: usize) -> bool {
+        let inputs = inputs_count(&self.values, self.n());
+        k.checked_mul(inputs) == Some(self.runs.len())
+            && self.runs.iter().enumerate().all(|(i, run)| run.same_seq(&self.runs[i % k]))
+    }
+
+    /// The runs an extension treats as sharing sequences: the sequence
+    /// count when the layout is input-major, else one slot per run.
+    fn extension_slots(&self) -> usize {
+        let k = self.sequence_count();
+        if k > 0 && self.is_input_major(k) {
+            k
+        } else {
+            self.runs.len()
+        }
     }
 
     /// Indices of the `v`-valent runs (all processes start with `v`).
@@ -177,29 +217,12 @@ pub fn expand_with(
             .map_err(|e| BudgetExceeded { max_runs, needed: e.needed })?;
     }
     let arena_bytes = arena.approx_bytes();
-    let inputs: Vec<Inputs> = all_inputs(n, values);
-    let seqs = arena.into_frontier_seqs();
-
-    let mut table = ViewTable::new(n);
-    let total = inputs.len() * seqs.len();
-    let (runs, shards, merge_ms) = if threads <= 1 || total == 0 {
-        let mut runs = Vec::with_capacity(total);
-        for x in &inputs {
-            for seq in &seqs {
-                runs.push(PrefixRun::compute(x.clone(), seq, &mut table));
-            }
-        }
-        (runs, 1, 0.0)
-    } else {
-        sharded_runs(total, threads, &mut table, |range, shard| {
-            let mut runs = Vec::with_capacity(range.len());
-            for t in range {
-                let (xi, si) = (t / seqs.len(), t % seqs.len());
-                runs.push(PrefixRun::compute(inputs[xi].clone(), &seqs[si], shard));
-            }
-            runs
-        })
+    let grid = Grid {
+        inputs: all_inputs(n, values).into_iter().map(Arc::from).collect(),
+        seqs: arena.into_frontier_seqs().into_iter().map(Arc::new).collect(),
     };
+    let mut table = ViewTable::new(n);
+    let (runs, shards, merge_ms) = compute_runs(&grid, threads, &mut table);
     Ok(Expansion {
         runs,
         table,
@@ -219,6 +242,57 @@ pub fn expand_binary(
     max_runs: usize,
 ) -> Result<Expansion, BudgetExceeded> {
     expand(ma, &[0, 1], depth, max_runs)
+}
+
+/// A canonical run-index space `[0, total)` whose runs can be computed
+/// into any interner — the shared view table on the serial path, a
+/// worker's [`ShardTable`] on the sharded one.
+trait RunSource: Sync {
+    /// Number of runs.
+    fn total(&self) -> usize;
+
+    /// Runs `range`, in index order, interning their views in `interner`.
+    fn runs<T: ViewInterner>(&self, range: Range<usize>, interner: &mut T) -> Vec<PrefixRun>;
+}
+
+/// The runs of a fresh expansion: every input assignment under every
+/// sequence, input-major (run `t` is inputs `t / k` under sequence
+/// `t % k`), sharing the sequence and inputs `Arc`s.
+struct Grid {
+    inputs: Vec<Arc<[Value]>>,
+    seqs: Vec<Arc<GraphSeq>>,
+}
+
+impl RunSource for Grid {
+    fn total(&self) -> usize {
+        self.inputs.len() * self.seqs.len()
+    }
+
+    fn runs<T: ViewInterner>(&self, range: Range<usize>, interner: &mut T) -> Vec<PrefixRun> {
+        let k = self.seqs.len();
+        range
+            .map(|t| {
+                let (x, seq) = (&self.inputs[t / k], &self.seqs[t % k]);
+                PrefixRun::compute(Arc::clone(x), Arc::clone(seq), interner)
+            })
+            .collect()
+    }
+}
+
+/// Compute every run of `source` into `table`: in one pass when `threads
+/// ≤ 1`, else sharded (see [`sharded_runs`]). Returns the runs, the shard
+/// count and the merge milliseconds.
+fn compute_runs<S: RunSource>(
+    source: &S,
+    threads: usize,
+    table: &mut ViewTable,
+) -> (Vec<PrefixRun>, usize, f64) {
+    let total = source.total();
+    if threads <= 1 || total == 0 {
+        (source.runs(0..total, table), 1, 0.0)
+    } else {
+        sharded_runs(total, threads, table, |range, shard| source.runs(range, shard))
+    }
 }
 
 /// Cut `[0, total)` into contiguous chunks, compute each chunk's runs in a
@@ -302,12 +376,6 @@ impl Expansion {
     /// `threads` scoped workers (`≤ 1` = serial); output is byte-identical
     /// for every thread count.
     ///
-    /// Extensions are computed **once per distinct sequence** and indexed
-    /// densely: canonical expansions lay runs out input-major (run `i` has
-    /// sequence `i mod seq_count`), so the extension table is a flat
-    /// `Vec` — no `GraphSeq` keys are ever hashed. Non-canonical layouts
-    /// (hand-built expansions) are detected and handled per run.
-    ///
     /// # Errors
     /// Returns [`BudgetExceeded`] if the extension would exceed `max_runs`;
     /// the expansion is left unchanged in that case.
@@ -317,101 +385,111 @@ impl Expansion {
         max_runs: usize,
         threads: usize,
     ) -> Result<(), BudgetExceeded> {
-        // Pre-count, building the dense extension table: one
-        // `ma.extensions` call per distinct sequence, in first-encounter
-        // order; the budget accounting is identical to a per-run walk.
-        let seq_count = self.canonical_seq_count();
-        let mut exts: Vec<Vec<Digraph>> = Vec::with_capacity(seq_count.unwrap_or(1));
-        let mut needed = 0usize;
-        match seq_count {
-            Some(k) => {
-                for (i, run) in self.runs.iter().enumerate() {
-                    let si = i % k;
-                    if si == exts.len() {
-                        exts.push(ma.extensions(run.seq()));
-                    }
-                    needed += exts[si].len();
-                    if needed > max_runs {
-                        return Err(BudgetExceeded { max_runs, needed });
-                    }
-                }
-            }
-            None => {
-                // Fallback for non-canonical run layouts: one extension
-                // table entry per run.
-                for run in &self.runs {
-                    exts.push(ma.extensions(run.seq()));
-                    needed += exts.last().expect("just pushed").len();
-                    if needed > max_runs {
-                        return Err(BudgetExceeded { max_runs, needed });
-                    }
-                }
-            }
-        }
-        let ext_of = |i: usize| -> &[Digraph] {
-            match seq_count {
-                Some(k) => &exts[i % k],
-                None => &exts[i],
-            }
-        };
-
-        // Flat offsets into the new canonical index space: new runs
-        // `offsets[i] .. offsets[i+1]` are run `i`'s extensions, in order.
-        let mut offsets = Vec::with_capacity(self.runs.len() + 1);
-        offsets.push(0usize);
-        for i in 0..self.runs.len() {
-            offsets.push(offsets[i] + ext_of(i).len());
-        }
-        let total = *offsets.last().expect("offsets nonempty");
-
-        let old_runs = &self.runs;
-        let table = &mut self.table;
-        let (new_runs, shards, merge_ms) = if threads <= 1 || total == 0 {
-            let mut new_runs = Vec::with_capacity(total);
-            for (i, run) in old_runs.iter().enumerate() {
-                for g in ext_of(i) {
-                    new_runs.push(run.extended(g.clone(), table));
-                }
-            }
-            (new_runs, 1, 0.0)
-        } else {
-            sharded_runs(total, threads, table, |range, shard| {
-                let mut runs = Vec::with_capacity(range.len());
-                // The old run owning new index `t` is the partition cell
-                // containing `t`; walk forward from the first.
-                let mut i = offsets.partition_point(|&o| o <= range.start) - 1;
-                for t in range {
-                    while offsets[i + 1] <= t {
-                        i += 1;
-                    }
-                    let g = &ext_of(i)[t - offsets[i]];
-                    runs.push(old_runs[i].extended(g.clone(), shard));
-                }
-                runs
-            })
-        };
-        let arena_bytes: usize =
-            exts.iter().map(|e| e.len() * std::mem::size_of::<Digraph>()).sum();
-        self.runs = new_runs;
+        let next = Extension::plan(&self.runs, self.extension_slots(), ma, max_runs)?;
+        let (runs, stats) = next.compute(threads, &mut self.table);
+        self.runs = runs;
         self.depth += 1;
-        self.stats = ExpandStats { shards, merge_ms, arena_bytes };
+        self.stats = stats;
         Ok(())
     }
 
-    /// The distinct-sequence count if the runs are laid out canonically
-    /// (input-major: run `i`'s sequence equals run `i mod k`'s), else
-    /// `None`. The check is a cheap equality sweep — it never hashes.
-    fn canonical_seq_count(&self) -> Option<usize> {
-        let inputs = self.values.len().checked_pow(self.n() as u32)?;
-        if inputs == 0 || !self.runs.len().is_multiple_of(inputs) {
-            return None;
+    /// The expansion one round deeper, leaving `self` intact: the new runs
+    /// are computed from these runs into a copy of the view table, the
+    /// only state copied. Identical to [`extend_with`](Self::extend_with)
+    /// on a clone.
+    ///
+    /// # Errors
+    /// Returns [`BudgetExceeded`] if the extension would exceed
+    /// `max_runs`, before the table is copied.
+    pub fn extended(
+        &self,
+        ma: &dyn MessageAdversary,
+        max_runs: usize,
+        threads: usize,
+    ) -> Result<Expansion, BudgetExceeded> {
+        let next = Extension::plan(&self.runs, self.extension_slots(), ma, max_runs)?;
+        let mut table = self.table.clone();
+        let (runs, stats) = next.compute(threads, &mut table);
+        Ok(Expansion { runs, table, depth: self.depth + 1, values: self.values.clone(), stats })
+    }
+}
+
+/// The runs one round deeper than `base`.
+///
+/// Extensions are computed **once per distinct sequence**: canonical
+/// expansions lay runs out input-major, so the first `k` runs carry the
+/// `k` distinct sequences. Each (sequence, extension) pair becomes one
+/// next-depth sequence, built once and shared by every input assignment's
+/// run over it; no `GraphSeq` is hashed. Non-canonical layouts (hand-built
+/// expansions) are handled per run, as if every run had its own sequence.
+struct Extension<'a> {
+    base: &'a [PrefixRun],
+    /// Distinct sequences of `base` per input assignment.
+    k: usize,
+    /// The next depth's sequences, grouped by parent in parent order.
+    seqs: Vec<Arc<GraphSeq>>,
+    /// `parents[j]`: the slot in `0..k` that `seqs[j]` extends.
+    parents: Vec<usize>,
+}
+
+impl<'a> Extension<'a> {
+    /// Enumerate the extensions of `runs` laid out in `k` slots, one
+    /// `ma.extensions` call per slot in first-encounter order, with the
+    /// budget accounting of a per-run walk: `needed` grows run by run and
+    /// the first excess aborts.
+    fn plan(
+        runs: &'a [PrefixRun],
+        k: usize,
+        ma: &dyn MessageAdversary,
+        max_runs: usize,
+    ) -> Result<Self, BudgetExceeded> {
+        let (mut seqs, mut parents) = (Vec::new(), Vec::new());
+        // Slot `si` extends to `seqs[bounds[si]..bounds[si + 1]]`.
+        let mut bounds = vec![0];
+        let mut needed = 0usize;
+        for (i, run) in runs.iter().enumerate() {
+            let si = i % k;
+            if si + 1 == bounds.len() {
+                for g in ma.extensions(run.seq()) {
+                    seqs.push(Arc::new(run.seq().extended(g)));
+                    parents.push(si);
+                }
+                bounds.push(seqs.len());
+            }
+            needed += bounds[si + 1] - bounds[si];
+            if needed > max_runs {
+                return Err(BudgetExceeded { max_runs, needed });
+            }
         }
-        let k = self.runs.len() / inputs;
-        if k == 0 {
-            return None;
-        }
-        (self.runs.iter().enumerate().all(|(i, run)| run.seq() == self.runs[i % k].seq()))
-            .then_some(k)
+        Ok(Extension { base: runs, k, seqs, parents })
+    }
+
+    /// Compute the runs into `table`, with the telemetry of this pass.
+    fn compute(&self, threads: usize, table: &mut ViewTable) -> (Vec<PrefixRun>, ExpandStats) {
+        let (runs, shards, merge_ms) = compute_runs(self, threads, table);
+        let arena_bytes = self.seqs.len() * std::mem::size_of::<Digraph>();
+        (runs, ExpandStats { shards, merge_ms, arena_bytes })
+    }
+}
+
+impl RunSource for Extension<'_> {
+    /// Runs per input assignment times input assignments.
+    fn total(&self) -> usize {
+        self.seqs.len() * self.base.len().checked_div(self.k).unwrap_or(0)
+    }
+
+    /// New run `t` extends base run `(t / K)·k + parents[t % K]` to
+    /// sequence `t % K`, where `K` is the next depth's sequence count: the
+    /// order a per-run walk appends them in.
+    fn runs<T: ViewInterner>(&self, range: Range<usize>, interner: &mut T) -> Vec<PrefixRun> {
+        let next = self.seqs.len();
+        range
+            .map(|t| {
+                let (xi, j) = (t / next, t % next);
+                let run = &self.base[xi * self.k + self.parents[j]];
+                run.extended(Arc::clone(&self.seqs[j]), interner)
+            })
+            .collect()
     }
 }
 

@@ -34,7 +34,7 @@ fn bench_fig2(c: &mut Criterion) {
     for (n, t) in [(3usize, 8usize), (5, 16), (8, 24)] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let graphs: Vec<_> = (0..t).map(|_| generators::random_graph(&mut rng, n, 0.3)).collect();
-        let seq = GraphSeq::from_graphs(graphs);
+        let seq = std::sync::Arc::new(GraphSeq::from_graphs(graphs));
         let inputs: Vec<u32> = (0..n as u32).collect();
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("n{n}_t{t}")),
@@ -42,7 +42,7 @@ fn bench_fig2(c: &mut Criterion) {
             |b, (inputs, seq)| {
                 b.iter(|| {
                     let mut table = ViewTable::new(inputs.len());
-                    black_box(PrefixRun::compute(inputs.clone(), seq, &mut table))
+                    black_box(PrefixRun::compute(inputs.as_slice(), seq.clone(), &mut table))
                 })
             },
         );

@@ -38,7 +38,7 @@ fn bench_fig3(c: &mut Criterion) {
         let mut table = ViewTable::new(3);
         let mk = |rng: &mut rand::rngs::StdRng, table: &mut ViewTable| {
             let graphs: Vec<_> = (0..t).map(|_| generators::random_graph(rng, 3, 0.4)).collect();
-            PrefixRun::compute(vec![0, 1, 0], &GraphSeq::from_graphs(graphs), table)
+            PrefixRun::compute(vec![0, 1, 0], GraphSeq::from_graphs(graphs), table)
         };
         let a = mk(&mut rng, &mut table);
         let b = mk(&mut rng, &mut table);

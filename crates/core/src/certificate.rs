@@ -622,7 +622,7 @@ fn verify_witness(
     // Replay in a fresh interner: digests are structural, so they coincide
     // with the extraction-time digests without sharing any table state.
     let mut fresh = ViewTable::new(cert.n);
-    let run = PrefixRun::compute(witness.inputs.clone(), &seq, &mut fresh);
+    let run = PrefixRun::compute(witness.inputs.as_slice(), seq, &mut fresh);
     let mut memo = HashMap::new();
     for p in 0..cert.n {
         let mut decided = None;
@@ -1011,11 +1011,11 @@ mod tests {
         // the same digest.
         let seq = GraphSeq::parse2("-> <-").unwrap();
         let mut a = ViewTable::new(2);
-        let run_a = PrefixRun::compute(vec![0, 1], &seq, &mut a);
+        let run_a = PrefixRun::compute(vec![0, 1], seq.clone(), &mut a);
         let mut b = ViewTable::new(2);
         // Intern an unrelated run first, skewing b's id order.
-        PrefixRun::compute(vec![1, 0], &GraphSeq::parse2("<- ->").unwrap(), &mut b);
-        let run_b = PrefixRun::compute(vec![0, 1], &seq, &mut b);
+        PrefixRun::compute(vec![1, 0], GraphSeq::parse2("<- ->").unwrap(), &mut b);
+        let run_b = PrefixRun::compute(vec![0, 1], seq, &mut b);
         let (mut ma, mut mb) = (HashMap::new(), HashMap::new());
         for p in 0..2 {
             for t in 0..=2 {

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use adversary::{enumerate, MessageAdversary};
 use ptgraph::Value;
-use simulator::checker::{self, CheckReport};
+use simulator::checker::CheckReport;
 
 use crate::{
     broadcast::{broadcast_report, BroadcastReport},
@@ -103,11 +103,10 @@ impl Verdict {
 /// scenarios then pays for each `(adversary, depth)` expansion exactly once.
 ///
 /// Sources are free to serve a depth-`t` request by *laddering*: extending
-/// a shallower space they already hold via
-/// [`PrefixSpace::extended_from`], which yields a space identical to a
-/// from-scratch build at `t`. The checker's ascending-depth request pattern
-/// makes every request after the first a one-round extension for such a
-/// source.
+/// a shallower space they already hold via [`PrefixSpace::extend_from`],
+/// which yields a space identical to a from-scratch build at `t`. The
+/// checker's ascending-depth request pattern makes every request after the
+/// first a one-round extension for such a source.
 pub trait SpaceSource {
     /// The space of `ma` at `depth` over `values`, subject to `max_runs`.
     ///
@@ -258,7 +257,7 @@ impl<M: MessageAdversary> SolvabilityChecker<M> {
         }
 
         // Phase 2: incremental depth sweep for separation (views are
-        // interned once across the sweep; see `PrefixSpace::extended`).
+        // interned once across the sweep; see `PrefixSpace::extend`).
         let mut last: Option<PrefixSpace> = None;
         let mut budget_hit = false;
         let mut current = PrefixSpace::expand(&self.ma, &self.values, 0, &self.expand).ok();
@@ -389,7 +388,12 @@ impl<M: MessageAdversary> SolvabilityChecker<M> {
     }
 
     /// Certify a separated space: synthesize the universal algorithm and
-    /// verify it exhaustively at the space's depth.
+    /// verify it exhaustively on the space's own sequences
+    /// ([`UniversalAlgorithm::verify`], memoized per space and validity).
+    ///
+    /// The space is verified as handed over, without applying the run
+    /// budget again: a cached space may hold more runs than this checker's
+    /// budget, and checking it is bounded work.
     ///
     /// # Panics
     /// Panics if the space is not separated (the caller checks first) or if
@@ -403,15 +407,7 @@ impl<M: MessageAdversary> SolvabilityChecker<M> {
         } else {
             UniversalAlgorithm::synthesize(space).expect("separated space must synthesize")
         };
-        let verification = checker::check(
-            &algorithm,
-            &self.ma,
-            &self.values,
-            &checker::CheckConfig::at_depth(space.depth())
-                .max_runs(self.expand.max_runs)
-                .strong_validity(self.analysis.strong_validity),
-        )
-        .expect("depth already expanded within budget");
+        let verification = algorithm.verify(space).clone();
         assert!(
             verification.passed(),
             "internal error: synthesized universal algorithm failed verification: {:?}",

@@ -15,8 +15,9 @@ use std::time::Instant;
 use adversary::{enumerate, MessageAdversary};
 use consensus_obs::metrics::{registry, Histogram};
 use consensus_obs::trace::tracer;
-use dyngraph::Pid;
+use dyngraph::{GraphSeq, Pid};
 use ptgraph::{PrefixRun, Value, ViewId};
+use simulator::checker::CheckReport;
 use topology::{components_by_dense_buckets, separation, Components};
 
 use crate::config::ExpandConfig;
@@ -36,14 +37,31 @@ fn stage_components() -> &'static Arc<Histogram> {
     HIST.get_or_init(|| registry().histogram("stage.components"))
 }
 
+/// The span of one extension to `depth`.
+fn extend_span(depth: usize, threads: usize) -> consensus_obs::trace::SpanGuard {
+    tracer()
+        .span("expand")
+        .with_attr("mode", "extend")
+        .with_attr("depth", depth)
+        .with_attr("threads", threads)
+}
+
 /// The expanded and component-decomposed prefix space at one depth.
 ///
-/// Cloning deep-copies the expansion and components; see
-/// [`PrefixSpace::extend_from`] for why callers want that.
+/// The space is the only source of its admissible sequences
+/// ([`sequences`](Self::sequences)): the universal algorithm's
+/// verification walks them, and its report is memoized here, once per
+/// validity flavor (see [`UniversalAlgorithm::verify`]). Extending the
+/// space, in place or into a new one, starts with an empty memo.
+///
+/// [`UniversalAlgorithm::verify`]: crate::universal::UniversalAlgorithm::verify
 #[derive(Debug, Clone)]
 pub struct PrefixSpace {
     expansion: enumerate::Expansion,
     components: Components,
+    /// The universal algorithm's verification report, indexed by
+    /// validity flavor (0 weak, 1 strong), filled on first request.
+    verified: [OnceLock<CheckReport>; 2],
 }
 
 /// Cheap size/shape statistics of a [`PrefixSpace`] — all O(1) reads of
@@ -99,19 +117,22 @@ impl PrefixSpace {
             .map_err(|(space, e)| (space, Error::from(e)))
     }
 
-    /// Extend *a copy of* this space by one round, leaving `self` intact —
-    /// the extension seam for caching [`SpaceSource`] implementations: a
-    /// source holding this space (e.g. behind an `Arc`) can serve a
-    /// depth-`t+1` request by laddering up from the cached depth-`t` space
-    /// instead of re-expanding from scratch, while the depth-`t` entry
-    /// stays live for other requesters. The runs/views/components produced
-    /// are identical to a from-scratch [`PrefixSpace::expand`] at the
-    /// deeper depth (runs are enumerated in the same input-major,
+    /// The space one round deeper, leaving `self` intact — the extension
+    /// seam for caching [`SpaceSource`] implementations: a source holding
+    /// this space (e.g. behind an `Arc`) can serve a depth-`t+1` request
+    /// by laddering up from the cached depth-`t` space instead of
+    /// re-expanding from scratch, while the depth-`t` entry stays live for
+    /// other requesters. The new runs are computed from this space's runs
+    /// into a copy of its view table, the only state copied (see
+    /// [`enumerate::Expansion::extended`]). The runs/views/components
+    /// produced are identical to a from-scratch [`PrefixSpace::expand`] at
+    /// the deeper depth (runs are enumerated in the same input-major,
     /// breadth-first sequence order either way).
     ///
     /// # Errors
     /// Returns [`Error::Budget`] if the extension would exceed the budget;
-    /// `self` is untouched either way.
+    /// `self` — runs, view table and verification memo — is untouched
+    /// either way.
     ///
     /// [`SpaceSource`]: crate::solvability::SpaceSource
     pub fn extend_from(
@@ -183,32 +204,25 @@ impl PrefixSpace {
         Ok(Self::from_expansion(expansion))
     }
 
+    /// The in-place extension; on budget exhaustion the space comes back
+    /// whole, components and memo included.
     #[allow(clippy::result_large_err)]
     pub(crate) fn extend_impl(
-        self,
+        mut self,
         ma: &dyn MessageAdversary,
         max_runs: usize,
         threads: usize,
     ) -> Result<Self, (Self, enumerate::BudgetExceeded)> {
-        let mut expansion = self.expansion;
-        let result = {
-            let mut span = tracer()
-                .span("expand")
-                .with_attr("mode", "extend")
-                .with_attr("depth", expansion.depth + 1)
-                .with_attr("threads", threads);
+        {
+            let mut span = extend_span(self.depth() + 1, threads);
             let start = Instant::now();
-            let result = expansion.extend_with(ma, max_runs, threads);
-            if result.is_ok() {
-                stage_expand().record_duration(start.elapsed());
-                span.set_attr("runs", expansion.runs.len());
+            if let Err(e) = self.expansion.extend_with(ma, max_runs, threads) {
+                return Err((self, e));
             }
-            result
-        };
-        match result {
-            Ok(()) => Ok(Self::from_expansion(expansion)),
-            Err(e) => Err((Self::from_expansion(expansion), e)),
+            stage_expand().record_duration(start.elapsed());
+            span.set_attr("runs", self.expansion.runs.len());
         }
+        Ok(Self::from_expansion(self.expansion))
     }
 
     pub(crate) fn extend_from_impl(
@@ -217,18 +231,14 @@ impl PrefixSpace {
         max_runs: usize,
         threads: usize,
     ) -> Result<Self, enumerate::BudgetExceeded> {
-        let mut expansion = self.expansion.clone();
-        {
-            let mut span = tracer()
-                .span("expand")
-                .with_attr("mode", "extend")
-                .with_attr("depth", expansion.depth + 1)
-                .with_attr("threads", threads);
+        let expansion = {
+            let mut span = extend_span(self.depth() + 1, threads);
             let start = Instant::now();
-            expansion.extend_with(ma, max_runs, threads)?;
+            let expansion = self.expansion.extended(ma, max_runs, threads)?;
             stage_expand().record_duration(start.elapsed());
             span.set_attr("runs", expansion.runs.len());
-        }
+            expansion
+        };
         Ok(Self::from_expansion(expansion))
     }
 
@@ -364,12 +374,36 @@ impl PrefixSpace {
         stage_components().record_duration(start.elapsed());
         span.set_attr("runs", expansion.runs.len());
         span.set_attr("components", components.count());
-        PrefixSpace { expansion, components }
+        PrefixSpace { expansion, components, verified: Default::default() }
     }
 
-    /// The admissible runs.
+    /// The admissible runs: every input assignment under every admissible
+    /// sequence, input-major.
     pub fn runs(&self) -> &[PrefixRun] {
         &self.expansion.runs
+    }
+
+    /// The admissible depth-`t` sequences in enumeration order — the
+    /// sequences of the first [`sequence_count`](Self::sequence_count)
+    /// runs, each stored once and shared by the runs over it. They equal
+    /// [`enumerate::admissible_sequences`] at this depth.
+    ///
+    /// # Panics
+    /// Panics unless the runs are laid out input-major, as every
+    /// expansion is (see [`enumerate::Expansion::sequences`]).
+    pub fn sequences(&self) -> impl ExactSizeIterator<Item = &GraphSeq> + Clone {
+        self.expansion.sequences()
+    }
+
+    /// Number of admissible sequences (runs per input assignment).
+    pub fn sequence_count(&self) -> usize {
+        self.expansion.sequence_count()
+    }
+
+    /// The memo cell of the universal algorithm's verification under the
+    /// given validity flavor.
+    pub(crate) fn verified(&self, strong_validity: bool) -> &OnceLock<CheckReport> {
+        &self.verified[usize::from(strong_validity)]
     }
 
     /// The shared view table.
@@ -550,6 +584,7 @@ impl PrefixSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::universal::UniversalAlgorithm;
     use adversary::GeneralMA;
     use dyngraph::generators;
 
@@ -706,6 +741,46 @@ mod tests {
         // Budget failure leaves the base intact too.
         assert!(base.extend_from(&ma, &ExpandConfig::with_budget(10)).is_err());
         assert_eq!(base.depth(), 1);
+    }
+
+    /// `extend_from` reads the base and copies only its view table: after
+    /// a failed and a successful call, serial or sharded, the base's runs
+    /// (down to their shared sequences), table and verification memo are
+    /// those it had, and a new space starts with an empty memo.
+    #[test]
+    fn extend_from_leaves_base_runs_table_and_memo_untouched() {
+        let ma = GeneralMA::oblivious(generators::lossy_link_reduced());
+        let base = reduced(1);
+        let memo: *const CheckReport = UniversalAlgorithm::synthesize(&base).unwrap().verify(&base);
+        let (runs, table) = (base.runs().to_vec(), base.table().clone());
+        let seqs: Vec<*const GraphSeq> = runs.iter().map(|r| r.seq() as *const _).collect();
+        for cfg in [ExpandConfig::with_budget(10), CFG, CFG.threads(4)] {
+            let deeper = base.extend_from(&ma, &cfg);
+            assert_eq!(deeper.is_ok(), cfg.max_runs > 10);
+            assert_eq!(base.runs(), runs);
+            assert_eq!(base.table(), &table);
+            assert!(base.runs().iter().zip(&seqs).all(|(r, &s)| std::ptr::eq(r.seq(), s)));
+            assert!(std::ptr::eq(base.verified(false).get().unwrap(), memo));
+            assert!(base.verified(true).get().is_none());
+            if let Ok(deeper) = deeper {
+                assert!(deeper.verified(false).get().is_none());
+            }
+        }
+    }
+
+    /// An in-place extension yields a space with an empty memo; a failed
+    /// one hands the space back with its memo.
+    #[test]
+    fn in_place_extension_empties_the_memo() {
+        let ma = GeneralMA::oblivious(generators::lossy_link_reduced());
+        let space = reduced(1);
+        let memo = UniversalAlgorithm::synthesize(&space).unwrap().verify(&space).clone();
+        let (space, _) = space.extend(&ma, &ExpandConfig::with_budget(10)).unwrap_err();
+        assert_eq!(space.verified(false).get(), Some(&memo));
+        let deeper = space.extend(&ma, &CFG).unwrap();
+        assert!(deeper.verified(false).get().is_none() && deeper.verified(true).get().is_none());
+        let report = UniversalAlgorithm::synthesize(&deeper).unwrap().verify(&deeper);
+        assert_eq!(report.runs_checked, deeper.runs().len());
     }
 
     #[test]

@@ -34,9 +34,14 @@
 //! the value when the view's ball is decided. A lookup is one index, and
 //! answers only for the owner; views interned after synthesis (runs past
 //! the horizon) have no entry.
+//!
+//! [`UniversalAlgorithm::verify`] checks the algorithm exhaustively on the
+//! sequences of the space it came from, once per space and validity
+//! flavor.
 
 use dyngraph::Pid;
 use ptgraph::{Value, ViewId, ViewTable};
+use simulator::checker::{self, CheckConfig, CheckReport};
 use simulator::Algorithm;
 use std::sync::Mutex;
 
@@ -55,9 +60,11 @@ pub struct UniversalAlgorithm {
     table: Mutex<ViewTable>,
     /// Entry `i` is `Some((owner, value))` when the ball of view `i` of
     /// the synthesis-time table is decided.
-    decisions: Vec<Option<(Pid, Value)>>,
+    decisions: Box<[Option<(Pid, Value)>]>,
     /// The synthesis depth: every admissible run decides by this round.
     depth: usize,
+    /// Whether the decisions come from a strong-validity assignment.
+    strong_validity: bool,
 }
 
 /// State of [`UniversalAlgorithm`]: the interned view and the decision.
@@ -75,7 +82,7 @@ impl UniversalAlgorithm {
     /// Returns `None` if the space is not separated (consensus not solvable
     /// at this resolution — Corollary 5.6).
     pub fn synthesize(space: &PrefixSpace) -> Option<Self> {
-        Self::synthesize_from_assignment(space, space.component_assignment()?)
+        Self::synthesize_from_assignment(space, space.component_assignment()?, false)
     }
 
     /// Synthesize under **strong validity**: decisions are always some
@@ -83,10 +90,14 @@ impl UniversalAlgorithm {
     /// strong-validity assignment exists (see
     /// [`PrefixSpace::strong_component_assignment`]).
     pub fn synthesize_strong(space: &PrefixSpace) -> Option<Self> {
-        Self::synthesize_from_assignment(space, space.strong_component_assignment()?)
+        Self::synthesize_from_assignment(space, space.strong_component_assignment()?, true)
     }
 
-    fn synthesize_from_assignment(space: &PrefixSpace, assignment: Vec<Value>) -> Option<Self> {
+    fn synthesize_from_assignment(
+        space: &PrefixSpace,
+        assignment: Vec<Value>,
+        strong_validity: bool,
+    ) -> Option<Self> {
         let depth = space.depth();
         // Earliest-decision table: bucket (p, view at s) decides v iff all
         // runs sharing the bucket sit in components assigned v. A slot
@@ -106,7 +117,41 @@ impl UniversalAlgorithm {
             }
         }
         let decisions = buckets.into_iter().map(|b| b.and_then(|(p, v)| Some((p, v?)))).collect();
-        Some(UniversalAlgorithm { table: Mutex::new(space.table().clone()), decisions, depth })
+        Some(UniversalAlgorithm {
+            table: Mutex::new(space.table().clone()),
+            decisions,
+            depth,
+            strong_validity,
+        })
+    }
+
+    /// Verify the algorithm exhaustively on `space`, the space it was
+    /// synthesized from (Theorem 5.5): every input assignment under every
+    /// sequence of [`PrefixSpace::sequences`] at the synthesis depth, with
+    /// termination required, under the validity it was synthesized for.
+    /// The walk executes the algorithm; it never reads the space's
+    /// interned views.
+    ///
+    /// The report depends only on the space and the validity flavor, so it
+    /// is memoized on the space: the first call per flavor walks, and later
+    /// ones, from any synthesis of that flavor, return its report. No run
+    /// budget applies, because the space already holds every run walked.
+    ///
+    /// # Panics
+    /// Panics if `space` has a different depth or view table size than
+    /// the synthesis space.
+    pub fn verify<'s>(&self, space: &'s PrefixSpace) -> &'s CheckReport {
+        assert!(
+            self.depth == space.depth() && self.decisions.len() == space.table().len(),
+            "the universal algorithm is verified on the space it was synthesized from"
+        );
+        space.verified(self.strong_validity).get_or_init(|| {
+            let cfg = CheckConfig::at_depth(self.depth)
+                .max_runs(usize::MAX)
+                .strong_validity(self.strong_validity);
+            checker::check_sequences(self, space.n(), space.values(), space.sequences(), &cfg)
+                .expect("an unlimited budget cannot be exceeded")
+        })
     }
 
     /// The synthesis depth: the round by which every admissible run decides.

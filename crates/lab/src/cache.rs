@@ -79,7 +79,7 @@ pub struct CacheStats {
     /// expansion.
     pub builds: usize,
     /// Requests served by *laddering* — extending the deepest cached
-    /// ancestor space round-by-round via [`PrefixSpace::extended_from`]
+    /// ancestor space round-by-round via [`PrefixSpace::extend_from`]
     /// instead of re-expanding from scratch.
     pub ladder_hits: usize,
     /// Scenario outcomes answered from the on-disk verdict journal
@@ -470,6 +470,30 @@ mod tests {
         assert_eq!(totals.passes, 2);
         assert!(totals.shards > totals.passes, "threaded passes must shard");
         assert_eq!(serial.expand_totals().shards, serial.expand_totals().passes);
+    }
+
+    /// Budgets bound work, not results: certification verifies the cached
+    /// space it is handed even when that space holds more runs than the
+    /// checker's budget (the depth-1 hit here holds 8 runs, the budget is
+    /// 5), instead of applying the budget a second time and panicking.
+    #[test]
+    fn certification_verifies_a_cached_space_over_the_request_budget() {
+        use consensus_core::solvability::{SolvabilityChecker, Verdict};
+        let cache = SpaceCache::new();
+        let ma = GeneralMA::oblivious(generators::lossy_link_reduced());
+        for depth in [0, 1] {
+            cache.space_with_meta(&ma, &[0, 1], depth, 1_000_000).unwrap();
+        }
+        match SolvabilityChecker::new(ma).max_depth(3).max_runs(5).check_via(&cache) {
+            Verdict::Solvable(cert) => {
+                assert_eq!(cert.depth, 1);
+                assert!(cert.verification.passed());
+                assert_eq!(cert.verification.runs_checked, 8);
+            }
+            other => panic!("expected solvable: {other:?}"),
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.builds, stats.ladder_hits, stats.hits), (1, 1, 2));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   Definition 6.2's ε-approximation is the shared object). Misses with a
 //!   cached shallower space for the same *(fingerprint, domain)* are
 //!   served by the **depth ladder** — one-round
-//!   [`consensus_core::PrefixSpace::extended_from`] extensions instead of
+//!   [`consensus_core::PrefixSpace::extend_from`] extensions instead of
 //!   a from-scratch re-expansion;
 //! * [`persist`] — the on-disk [`persist::DiskCache`]: deterministic
 //!   verdicts (plus compact space digests) journaled to a salted cache

@@ -460,7 +460,7 @@ pub(crate) fn execute_scenario_cfg(
                         AnalysisKind::Bivalence => bivalence_outcome(&space),
                         AnalysisKind::Broadcastability => broadcast_outcome(&space),
                         AnalysisKind::ComponentStats => stats_outcome(&space),
-                        AnalysisKind::SimCheck => sim_check_outcome(&space, &ma, scenario.max_runs),
+                        AnalysisKind::SimCheck => sim_check_outcome(&space, scenario.max_runs),
                         AnalysisKind::Solvability => unreachable!("handled above"),
                     };
                 }
@@ -585,39 +585,37 @@ fn stats_outcome(space: &consensus_core::PrefixSpace) -> Outcome {
     outcome
 }
 
-fn sim_check_outcome(
-    space: &consensus_core::PrefixSpace,
-    ma: &adversary::DynMA,
-    max_runs: usize,
-) -> Outcome {
-    let cfg = checker::CheckConfig::at_depth(space.depth()).max_runs(max_runs);
-    if space.separation().is_separated() {
-        // Synthesize the universal algorithm from the (shared) space and
-        // verify it exhaustively at the space's depth.
+fn sim_check_outcome(space: &consensus_core::PrefixSpace, max_runs: usize) -> Outcome {
+    // On a separated space, the universal algorithm synthesized from it
+    // (verified once per space, shared with solvability); on a mixed one,
+    // where no algorithm can exist (Corollary 5.6), the obstruction shown
+    // on the reference flooding algorithm.
+    let universal = space.separation().is_separated();
+    let algorithm = Json::Str(if universal { "universal" } else { "floodmin" }.into());
+    // The request's budget applies even to a cached space built under a
+    // larger one, ahead of the memoized verification.
+    if space.runs().len() > max_runs {
+        return Outcome::tag("budget-exceeded")
+            .with("algorithm", algorithm)
+            .with("needed_runs", Json::Int(space.runs().len() as i64));
+    }
+    let outcome = |rep: &checker::CheckReport| {
+        Outcome::tag(if rep.passed() { "passed" } else { "failed" })
+            .with("algorithm", algorithm.clone())
+            .with("runs_checked", Json::Int(rep.runs_checked as i64))
+            .with("violations", Json::Int(rep.violations.len() as i64))
+    };
+    if universal {
         let alg = UniversalAlgorithm::synthesize(space).expect("separated space must synthesize");
-        match checker::check(&alg, ma, SWEEP_VALUES, &cfg) {
-            Ok(rep) => Outcome::tag(if rep.passed() { "passed" } else { "failed" })
-                .with("algorithm", Json::Str("universal".into()))
-                .with("runs_checked", Json::Int(rep.runs_checked as i64))
-                .with("violations", Json::Int(rep.violations.len() as i64))
-                .with("decision_round", Json::Int(rep.max_decision_round as i64)),
-            Err(err) => Outcome::tag("budget-exceeded")
-                .with("algorithm", Json::Str("universal".into()))
-                .with("needed_runs", Json::Int(err.needed as i64)),
-        }
+        let rep = alg.verify(space);
+        outcome(rep).with("decision_round", Json::Int(rep.max_decision_round as i64))
     } else {
-        // No algorithm can exist on a mixed space (Corollary 5.6); exhibit
-        // the obstruction on the reference flooding algorithm instead.
+        let cfg = checker::CheckConfig::at_depth(space.depth()).max_runs(max_runs);
         let alg = FloodMin::new(space.depth());
-        match checker::check(&alg, ma, SWEEP_VALUES, &cfg) {
-            Ok(rep) => Outcome::tag(if rep.passed() { "passed" } else { "failed" })
-                .with("algorithm", Json::Str("floodmin".into()))
-                .with("runs_checked", Json::Int(rep.runs_checked as i64))
-                .with("violations", Json::Int(rep.violations.len() as i64)),
-            Err(err) => Outcome::tag("budget-exceeded")
-                .with("algorithm", Json::Str("floodmin".into()))
-                .with("needed_runs", Json::Int(err.needed as i64)),
-        }
+        let rep =
+            checker::check_sequences(&alg, space.n(), space.values(), space.sequences(), &cfg)
+                .expect("runs within budget");
+        outcome(&rep)
     }
 }
 
@@ -743,6 +741,29 @@ mod tests {
             None,
         );
         assert_eq!(rec.outcome.verdict, "failed");
+    }
+
+    /// Sim-check compares the request's budget with the space before it
+    /// verifies: a cached space larger than the budget still answers
+    /// `budget-exceeded` with the runs the check would need.
+    #[test]
+    fn sim_check_applies_the_request_budget_to_a_cached_space() {
+        let cache = SpaceCache::new();
+        let scenario = catalog_scenario("cgp-reduced-lossy-link", 1, AnalysisKind::SimCheck);
+        let ma = scenario.spec.build().unwrap();
+        for depth in [0, 1] {
+            cache.space_with_meta(&*ma, SWEEP_VALUES, depth, 1_000_000).unwrap();
+        }
+        let rec = execute_scenario(0, &Scenario { max_runs: 5, ..scenario }, &cache, None);
+        assert_eq!(rec.outcome.verdict, "budget-exceeded");
+        assert_eq!(
+            rec.outcome.details,
+            vec![
+                ("algorithm".into(), Json::Str("universal".into())),
+                ("needed_runs".into(), Json::Int(8)),
+            ]
+        );
+        assert_eq!(rec.cached_space, Some(true));
     }
 
     #[test]

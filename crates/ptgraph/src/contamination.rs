@@ -277,7 +277,7 @@ mod tests {
         let mut runs: Vec<PrefixRun> = Vec::new();
         for x in &inputs {
             for s in &seqs {
-                runs.push(PrefixRun::compute(x.clone(), s, &mut table));
+                runs.push(PrefixRun::compute(x.as_slice(), s.clone(), &mut table));
             }
         }
         // Sample pairs (all pairs is 256^2 = 65k — fine).
@@ -312,8 +312,8 @@ mod tests {
             };
             let (xa, sa) = mk(&mut rng);
             let (xb, sb) = mk(&mut rng);
-            let a = PrefixRun::compute(xa, &sa, &mut table);
-            let b = PrefixRun::compute(xb, &sb, &mut table);
+            let a = PrefixRun::compute(xa, sa, &mut table);
+            let b = PrefixRun::compute(xb, sb, &mut table);
             let trace = finite_trace(&a, &b);
             for (t, d) in trace.iter().enumerate() {
                 for p in 0..3 {
@@ -326,8 +326,8 @@ mod tests {
     #[test]
     fn finite_report_matches_distance_module() {
         let mut table = ViewTable::new(2);
-        let a = PrefixRun::compute(vec![0, 1], &GraphSeq::parse2("-> -> ->").unwrap(), &mut table);
-        let b = PrefixRun::compute(vec![0, 0], &GraphSeq::parse2("-> -> ->").unwrap(), &mut table);
+        let a = PrefixRun::compute(vec![0, 1], GraphSeq::parse2("-> -> ->").unwrap(), &mut table);
+        let b = PrefixRun::compute(vec![0, 0], GraphSeq::parse2("-> -> ->").unwrap(), &mut table);
         let rep = analyze_finite(&a, &b);
         assert_eq!(rep.per_process[0], Divergence::NotWithin(3));
         assert_eq!(rep.per_process[1], Divergence::At(0));

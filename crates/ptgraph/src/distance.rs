@@ -223,8 +223,8 @@ pub fn fig3_example() -> (PrefixRun, PrefixRun, ViewTable) {
     let g1 = Digraph::from_edges(3, &[(2, 1)]).unwrap();
     let g2 = Digraph::from_edges(3, &[(1, 0)]).unwrap();
     let seq = GraphSeq::from_graphs(vec![g1, g2, Digraph::empty(3)]);
-    let alpha = PrefixRun::compute(vec![0, 0, 0], &seq, &mut table);
-    let beta = PrefixRun::compute(vec![0, 0, 1], &seq, &mut table);
+    let alpha = PrefixRun::compute(vec![0, 0, 0], seq.clone(), &mut table);
+    let beta = PrefixRun::compute(vec![0, 0, 1], seq, &mut table);
     (alpha, beta, table)
 }
 
@@ -278,11 +278,11 @@ mod tests {
         let base: Vec<Digraph> = (0..horizon).map(|_| sparse_graph(rng, n)).collect();
         let mut runs = Vec::new();
         for _ in 0..2 + rng.below(7) {
-            let inputs = (0..n).map(|_| rng.below(2) as u32).collect();
+            let inputs: Vec<u32> = (0..n).map(|_| rng.below(2) as u32).collect();
             let fork = rng.below(horizon + 1);
             let mut graphs = base[..fork].to_vec();
             graphs.extend((fork..horizon).map(|_| sparse_graph(rng, n)));
-            runs.push(PrefixRun::compute(inputs, &GraphSeq::from_graphs(graphs), table));
+            runs.push(PrefixRun::compute(inputs, GraphSeq::from_graphs(graphs), table));
         }
         runs
     }
@@ -338,15 +338,15 @@ mod tests {
     #[should_panic(expected = "one horizon")]
     fn set_distance_rejects_mixed_horizons() {
         let mut t = ViewTable::new(2);
-        let a = PrefixRun::compute(vec![0, 1], &GraphSeq::parse2("->").unwrap(), &mut t);
-        let b = PrefixRun::compute(vec![0, 1], &GraphSeq::parse2("-> <-").unwrap(), &mut t);
+        let a = PrefixRun::compute(vec![0, 1], GraphSeq::parse2("->").unwrap(), &mut t);
+        let b = PrefixRun::compute(vec![0, 1], GraphSeq::parse2("-> <-").unwrap(), &mut t);
         set_distance_min(&[&a], &[&b]);
     }
 
     fn runs2(word_a: &str, word_b: &str, xa: [u32; 2], xb: [u32; 2]) -> (PrefixRun, PrefixRun) {
         let mut t = ViewTable::new(2);
-        let a = PrefixRun::compute(xa.to_vec(), &GraphSeq::parse2(word_a).unwrap(), &mut t);
-        let b = PrefixRun::compute(xb.to_vec(), &GraphSeq::parse2(word_b).unwrap(), &mut t);
+        let a = PrefixRun::compute(xa, GraphSeq::parse2(word_a).unwrap(), &mut t);
+        let b = PrefixRun::compute(xb, GraphSeq::parse2(word_b).unwrap(), &mut t);
         (a, b)
     }
 
@@ -409,9 +409,9 @@ mod tests {
         let s1 = GraphSeq::parse2("-> -> ->").unwrap();
         let s2 = GraphSeq::parse2("-> <- ->").unwrap();
         let s3 = GraphSeq::parse2("<- <- ->").unwrap();
-        let a = PrefixRun::compute(vec![0, 1], &s1, &mut t);
-        let b = PrefixRun::compute(vec![0, 1], &s2, &mut t);
-        let c = PrefixRun::compute(vec![0, 1], &s3, &mut t);
+        let a = PrefixRun::compute(vec![0, 1], s1, &mut t);
+        let b = PrefixRun::compute(vec![0, 1], s2, &mut t);
+        let c = PrefixRun::compute(vec![0, 1], s3, &mut t);
         for p in 0..2 {
             let ab = d_p(&a, &b, p).as_f64();
             let bc = d_p(&b, &c, p).as_f64();
@@ -455,9 +455,9 @@ mod tests {
     fn diameter_and_set_distance() {
         let mut t = ViewTable::new(2);
         let s = GraphSeq::parse2("-> ->").unwrap();
-        let a = PrefixRun::compute(vec![0, 0], &s, &mut t);
-        let b = PrefixRun::compute(vec![0, 1], &s, &mut t);
-        let c = PrefixRun::compute(vec![1, 1], &s, &mut t);
+        let a = PrefixRun::compute(vec![0, 0], s.clone(), &mut t);
+        let b = PrefixRun::compute(vec![0, 1], s.clone(), &mut t);
+        let c = PrefixRun::compute(vec![1, 1], s, &mut t);
         let diam = diameter_min(&[&a, &b, &c]).unwrap();
         // d_min(a,c) = Finite(0) is the max: all processes differ at time 0.
         assert_eq!(diam, Distance::Finite(0));

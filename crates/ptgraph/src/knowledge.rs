@@ -95,7 +95,7 @@ mod tests {
 
     fn run2(word: &str, x: [u32; 2]) -> (PrefixRun, ViewTable) {
         let mut table = ViewTable::new(2);
-        let run = PrefixRun::compute(x.to_vec(), &GraphSeq::parse2(word).unwrap(), &mut table);
+        let run = PrefixRun::compute(x.to_vec(), GraphSeq::parse2(word).unwrap(), &mut table);
         (run, table)
     }
 

@@ -281,7 +281,7 @@ mod tests {
         // values the interned view knows.
         let pt = fig2_example();
         let mut table = crate::ViewTable::new(3);
-        let run = crate::PrefixRun::compute(pt.inputs().to_vec(), pt.seq(), &mut table);
+        let run = crate::PrefixRun::compute(pt.inputs(), pt.seq().clone(), &mut table);
         for p in 0..3 {
             for t in 0..=2 {
                 let past = pt.causal_past(&[p], t);

@@ -1,6 +1,7 @@
 //! Runs: input assignment + graph sequence, with interned views.
 
 use std::fmt;
+use std::sync::Arc;
 
 use dyngraph::{influence::InfluenceTracker, Digraph, GraphSeq, Lasso, Pid, Round};
 
@@ -12,13 +13,19 @@ use crate::{Inputs, Value, ViewId, ViewInterner, ViewTable};
 /// This is the finite shadow of a point of the paper's space `PT^ω`: the
 /// depth-`T` prefix determines every distance value `≥ 2^{−T}` (§4).
 ///
+/// The sequence and the inputs are shared, not owned: an expansion holds
+/// each admissible sequence once and hands every run over it a reference
+/// to that copy, and every run with the same input assignment shares one
+/// inputs slice. Only the views are per run. Equality compares contents,
+/// so sharing is invisible to [`PartialEq`].
+///
 /// ```
 /// use dyngraph::GraphSeq;
 /// use ptgraph::{PrefixRun, ViewTable};
 ///
 /// let mut table = ViewTable::new(2);
 /// let seq = GraphSeq::parse2("-> <-").unwrap();
-/// let run = PrefixRun::compute(vec![0, 1], &seq, &mut table);
+/// let run = PrefixRun::compute(vec![0, 1], seq, &mut table);
 /// // After round 1 (→), process 1 knows x_0.
 /// assert_eq!(table.data(run.view(1, 1)).input_of(0), Some(0));
 /// // Process 0 learns x_1 only in round 2 (←).
@@ -27,8 +34,8 @@ use crate::{Inputs, Value, ViewId, ViewInterner, ViewTable};
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct PrefixRun {
-    inputs: Inputs,
-    seq: GraphSeq,
+    inputs: Arc<[Value]>,
+    seq: Arc<GraphSeq>,
     /// Every view, by time and then process: entry `t·n + p` is the view
     /// of `p` at time `t`, for `0 ≤ t ≤ seq.rounds()`.
     views: Vec<ViewId>,
@@ -37,11 +44,18 @@ pub struct PrefixRun {
 impl PrefixRun {
     /// Compute the run of `inputs` under `seq`, interning views in `table`
     /// (the shared [`ViewTable`] or a worker's [`crate::ShardTable`]).
+    /// Passing an `Arc` shares the caller's copy instead of moving a new
+    /// one in.
     ///
     /// # Panics
     /// Panics if `inputs.len()` disagrees with `table.n()` or with the
     /// graphs of `seq`.
-    pub fn compute<T: ViewInterner>(inputs: Inputs, seq: &GraphSeq, table: &mut T) -> Self {
+    pub fn compute<T: ViewInterner>(
+        inputs: impl Into<Arc<[Value]>>,
+        seq: impl Into<Arc<GraphSeq>>,
+        table: &mut T,
+    ) -> Self {
+        let (inputs, seq) = (inputs.into(), seq.into());
         let n = table.n();
         assert_eq!(inputs.len(), n, "inputs must cover every process");
         if let Some(m) = seq.n() {
@@ -52,7 +66,7 @@ impl PrefixRun {
         for t in 1..=seq.rounds() {
             push_round(&mut views, n, seq.graph(t), table);
         }
-        PrefixRun { inputs, seq: seq.clone(), views }
+        PrefixRun { inputs, seq, views }
     }
 
     /// The input assignment.
@@ -63,6 +77,12 @@ impl PrefixRun {
     /// The graph-sequence prefix.
     pub fn seq(&self) -> &GraphSeq {
         &self.seq
+    }
+
+    /// Whether `other` runs under an equal sequence: one pointer
+    /// comparison when the two share it, as runs of one expansion do.
+    pub fn same_seq(&self, other: &PrefixRun) -> bool {
+        Arc::ptr_eq(&self.seq, &other.seq) || self.seq == other.seq
     }
 
     /// Number of processes.
@@ -121,17 +141,22 @@ impl PrefixRun {
         }
     }
 
-    /// Extend the run by one round with graph `g`.
+    /// Extend the run by one round to `seq`, this run's sequence followed
+    /// by one more graph. The new run shares `seq` and this run's inputs.
     ///
     /// # Panics
-    /// Panics on mismatched `n`.
-    pub fn extended<T: ViewInterner>(&self, g: Digraph, table: &mut T) -> Self {
+    /// Panics if `seq` is not one round longer than this run's sequence,
+    /// or on mismatched `n`; debug builds also check that it extends it.
+    pub fn extended<T: ViewInterner>(&self, seq: Arc<GraphSeq>, table: &mut T) -> Self {
         let n = self.n();
+        assert_eq!(seq.rounds(), self.rounds() + 1, "an extension adds exactly one round");
+        debug_assert!(self.seq.is_prefix_of(&seq), "{seq} does not extend {}", self.seq);
+        let g = seq.graph(seq.rounds());
         assert_eq!(g.n(), n);
         let mut views = Vec::with_capacity(self.views.len() + n);
         views.extend_from_slice(&self.views);
-        push_round(&mut views, n, &g, table);
-        PrefixRun { inputs: self.inputs.clone(), seq: self.seq.extended(g), views }
+        push_round(&mut views, n, g, table);
+        PrefixRun { inputs: Arc::clone(&self.inputs), seq, views }
     }
 }
 
@@ -201,7 +226,7 @@ impl InfiniteRun {
 
     /// The depth-`t` finite shadow of this run.
     pub fn prefix(&self, t: usize, table: &mut ViewTable) -> PrefixRun {
-        PrefixRun::compute(self.inputs.clone(), &self.lasso.unroll(t), table)
+        PrefixRun::compute(self.inputs.as_slice(), self.lasso.unroll(t), table)
     }
 
     /// The earliest round by which `p` has broadcast, decided exactly over
@@ -252,8 +277,8 @@ mod tests {
     fn views_deterministic_and_shared() {
         let mut t = table2();
         let seq = GraphSeq::parse2("-> <-").unwrap();
-        let a = PrefixRun::compute(vec![0, 1], &seq, &mut t);
-        let b = PrefixRun::compute(vec![0, 1], &seq, &mut t);
+        let a = PrefixRun::compute(vec![0, 1], seq.clone(), &mut t);
+        let b = PrefixRun::compute(vec![0, 1], seq, &mut t);
         for time in 0..=2 {
             assert_eq!(a.views_at(time), b.views_at(time));
         }
@@ -264,8 +289,8 @@ mod tests {
         let mut t = table2();
         // Under →^2, p0 never hears p1: its views agree across x_1 ∈ {0, 1}.
         let seq = GraphSeq::parse2("-> ->").unwrap();
-        let a = PrefixRun::compute(vec![0, 0], &seq, &mut t);
-        let b = PrefixRun::compute(vec![0, 1], &seq, &mut t);
+        let a = PrefixRun::compute(vec![0, 0], seq.clone(), &mut t);
+        let b = PrefixRun::compute(vec![0, 1], seq, &mut t);
         assert_eq!(a.view(0, 2), b.view(0, 2));
         // p1 received x_0 both times but its own input differs.
         assert_ne!(a.view(1, 1), b.view(1, 1));
@@ -274,8 +299,8 @@ mod tests {
     #[test]
     fn graph_difference_contaminates_receiver() {
         let mut t = table2();
-        let a = PrefixRun::compute(vec![0, 1], &GraphSeq::parse2("->").unwrap(), &mut t);
-        let b = PrefixRun::compute(vec![0, 1], &GraphSeq::parse2(".").unwrap(), &mut t);
+        let a = PrefixRun::compute(vec![0, 1], GraphSeq::parse2("->").unwrap(), &mut t);
+        let b = PrefixRun::compute(vec![0, 1], GraphSeq::parse2(".").unwrap(), &mut t);
         // p1 received in a but not in b.
         assert_ne!(a.view(1, 1), b.view(1, 1));
         // p0 sent in both (sending is invisible): views equal.
@@ -288,7 +313,7 @@ mod tests {
         let g1 = Digraph::from_edges(3, &[(0, 1)]).unwrap();
         let g2 = Digraph::from_edges(3, &[(1, 2)]).unwrap();
         let seq = GraphSeq::from_graphs(vec![g1, g2]);
-        let run = PrefixRun::compute(vec![5, 6, 7], &seq, &mut t);
+        let run = PrefixRun::compute(vec![5, 6, 7], seq.clone(), &mut t);
         assert_eq!(run.broadcast_complete(0, &t), Some(2));
         assert_eq!(run.broadcast_complete(1, &t), None);
         assert_eq!(seq.broadcast_round(0), Some(2));
@@ -298,12 +323,15 @@ mod tests {
     fn extended_matches_recompute() {
         let mut t = table2();
         let seq = GraphSeq::parse2("->").unwrap();
-        let run = PrefixRun::compute(vec![1, 0], &seq, &mut t);
-        let g = Digraph::parse2("<-").unwrap();
-        let ext = run.extended(g.clone(), &mut t);
-        let direct = PrefixRun::compute(vec![1, 0], &seq.extended(g), &mut t);
+        let run = PrefixRun::compute(vec![1, 0], seq.clone(), &mut t);
+        let longer = Arc::new(seq.extended(Digraph::parse2("<-").unwrap()));
+        let ext = run.extended(Arc::clone(&longer), &mut t);
+        let direct = PrefixRun::compute(vec![1, 0], longer, &mut t);
         assert_eq!(ext.views_at(2), direct.views_at(2));
         assert_eq!(ext.seq(), direct.seq());
+        // The extension shares the run's inputs; equality ignores sharing.
+        assert!(std::ptr::eq(ext.inputs(), run.inputs()));
+        assert_eq!(ext, direct);
     }
 
     #[test]
@@ -314,18 +342,18 @@ mod tests {
             Digraph::from_edges(3, &[(1, 2), (1, 0)]).unwrap(),
             Digraph::from_edges(3, &[(2, 1), (0, 2), (1, 0)]).unwrap(),
         ];
-        let mut run = PrefixRun::compute(vec![0, 1, 1], &GraphSeq::new(), &mut t);
-        for (i, g) in graphs.iter().enumerate() {
-            run = run.extended(g.clone(), &mut t);
+        let mut run = PrefixRun::compute(vec![0, 1, 1], GraphSeq::new(), &mut t);
+        for i in 0..graphs.len() {
             let seq = GraphSeq::from_graphs(graphs[..=i].to_vec());
-            assert_eq!(run, PrefixRun::compute(vec![0, 1, 1], &seq, &mut t), "round {}", i + 1);
+            run = run.extended(Arc::new(seq.clone()), &mut t);
+            assert_eq!(run, PrefixRun::compute(vec![0, 1, 1], seq, &mut t), "round {}", i + 1);
         }
         assert_eq!(t.data(run.view(2, 3)).heard, 0b111);
     }
 
     /// A run over `->` with `n = 2`: views at times 0 and 1.
     fn one_round() -> PrefixRun {
-        PrefixRun::compute(vec![0, 1], &GraphSeq::parse2("->").unwrap(), &mut table2())
+        PrefixRun::compute(vec![0, 1], GraphSeq::parse2("->").unwrap(), &mut table2())
     }
 
     #[test]
@@ -351,8 +379,8 @@ mod tests {
     fn valence() {
         let mut t = table2();
         let seq = GraphSeq::parse2("->").unwrap();
-        assert!(PrefixRun::compute(vec![1, 1], &seq, &mut t).is_valent(1));
-        assert!(!PrefixRun::compute(vec![1, 0], &seq, &mut t).is_valent(1));
+        assert!(PrefixRun::compute(vec![1, 1], seq.clone(), &mut t).is_valent(1));
+        assert!(!PrefixRun::compute(vec![1, 0], seq, &mut t).is_valent(1));
     }
 
     #[test]

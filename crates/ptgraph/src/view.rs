@@ -848,11 +848,11 @@ mod tests {
         let seq = GraphSeq::parse2("-> <-").unwrap();
 
         let mut serial = ViewTable::new(2);
-        let direct = PrefixRun::compute(vec![0, 1], &seq, &mut serial);
+        let direct = PrefixRun::compute(vec![0, 1], seq.clone(), &mut serial);
 
         let mut base = ViewTable::new(2);
         let mut shard = ShardTable::new(&base);
-        let mut run = PrefixRun::compute(vec![0, 1], &seq, &mut shard);
+        let mut run = PrefixRun::compute(vec![0, 1], seq, &mut shard);
         let local = shard.into_local();
         let remap = base.absorb(&local);
         run.remap_views(local.base_len(), &remap);

@@ -1,8 +1,9 @@
 //! Exhaustive consensus verification over an adversary's prefix space.
 //!
-//! [`check`] runs an algorithm on **every** admissible run of a message
-//! adversary at a fixed depth (per a typed [`CheckConfig`]) and checks the
-//! consensus properties of the paper's Definition 5.1:
+//! [`check_sequences`] runs an algorithm on **every** input assignment
+//! crossed with a list of admissible sequences at a fixed depth (per a
+//! typed [`CheckConfig`]) and checks the consensus properties of the
+//! paper's Definition 5.1:
 //!
 //! * **Termination** (within the horizon — for compact adversaries where the
 //!   universal algorithm decides by a fixed round this is exact; for
@@ -12,14 +13,25 @@
 //! * **Validity** — if all inputs are `v`, the only decision is `v`;
 //! * **Irrevocability** — decisions never change.
 //!
+//! # Where the sequences come from
+//!
+//! A prefix space already holds its admissible sequences, so callers that
+//! have one (the universal algorithm's verification, the lab's sim-check)
+//! pass its list to [`check_sequences`]. [`check`] is the wrapper for
+//! callers that have only the adversary: it enumerates the sequences with
+//! [`enumerate::admissible_sequences`] and walks them the same way. Either
+//! way the walk executes the algorithm; it never reads a space's interned
+//! views, so verification stays independent of expansion.
+//!
 //! # Execution model
 //!
-//! Runs share prefixes, so [`check`] executes each admissible prefix once
-//! per input assignment: it walks the sequences in prefix-tree order and
-//! resumes each one at the round where it forks from the previous one,
-//! restoring that round's configuration, first decisions and revocation
-//! flags. [`Algorithm`]s are deterministic, so the report is identical to
-//! running [`engine::run`] on every `(inputs, sequence)` pair, and
+//! Runs share prefixes, so the walk executes each prefix once per input
+//! assignment: it takes the sequences in order and resumes each one at
+//! the round where it forks from the previous one, restoring that round's
+//! configuration, first decisions and revocation flags. In prefix-tree
+//! order, the order of both sources, every prefix is executed once.
+//! [`Algorithm`]s are deterministic, so the report is identical to running
+//! [`engine::run`] on every `(inputs, sequence)` pair, and
 //! [`CheckReport::runs_checked`] is inputs × sequences.
 
 use std::fmt;
@@ -179,16 +191,12 @@ impl CheckReport {
 }
 
 /// Exhaustively check `alg` against every admissible run of `ma` over the
-/// input domain `values`, per `cfg` (depth, budget, validity flavor) —
-/// the typed entry point of the checker.
+/// input domain `values`, per `cfg` (depth, budget, validity flavor).
 ///
-/// Each admissible prefix is executed once per input assignment: the
-/// sequences come in prefix-tree order, and each one resumes from the
-/// configuration, first decisions and revocation flags of the round where
-/// it forks from the previous one. The [`CheckReport`] equals per-run
-/// execution's ([`engine::run`] on every pair, inputs outer, sequences in
-/// enumeration order), violation order included, and
-/// [`CheckReport::runs_checked`] is inputs × sequences.
+/// The enumerating wrapper of [`check_sequences`]: it enumerates the
+/// admissible `cfg.depth`-sequences of `ma` and walks them. Callers
+/// holding a prefix space pass its sequence list to [`check_sequences`]
+/// instead; the report is the same.
 ///
 /// ```
 /// use simulator::algorithms::FloodMin;
@@ -212,8 +220,41 @@ pub fn check<A: Algorithm>(
     values: &[Value],
     cfg: &CheckConfig,
 ) -> Result<CheckReport, enumerate::BudgetExceeded> {
-    let n = ma.n();
-    let seqs = enumerate::admissible_sequences(ma, cfg.depth);
+    check_sequences(alg, ma.n(), values, &enumerate::admissible_sequences(ma, cfg.depth), cfg)
+}
+
+/// Exhaustively check `alg` on `n` processes against every input
+/// assignment over `values` crossed with every sequence of `seqs`, per
+/// `cfg` — the prefix walk behind [`check`].
+///
+/// Every sequence must have `cfg.depth` rounds. Each prefix shared by
+/// consecutive sequences is executed once per input assignment: each
+/// sequence resumes from the configuration, first decisions and
+/// revocation flags of the round where it forks from the previous one.
+/// The [`CheckReport`] equals per-run execution's ([`engine::run`] on
+/// every pair, inputs outer, sequences in the given order), violation
+/// order included, and [`CheckReport::runs_checked`] is inputs ×
+/// sequences.
+///
+/// # Errors
+/// Returns [`enumerate::BudgetExceeded`] if inputs × sequences exceeds
+/// `cfg.max_runs` (an input count that overflows `usize` saturates).
+///
+/// # Panics
+/// Panics if a sequence does not have `cfg.depth` rounds.
+pub fn check_sequences<'a, A, S>(
+    alg: &A,
+    n: usize,
+    values: &[Value],
+    seqs: S,
+    cfg: &CheckConfig,
+) -> Result<CheckReport, enumerate::BudgetExceeded>
+where
+    A: Algorithm,
+    S: IntoIterator<Item = &'a GraphSeq>,
+    S::IntoIter: ExactSizeIterator + Clone,
+{
+    let seqs = seqs.into_iter();
     let needed = seqs.len().saturating_mul(enumerate::inputs_count(values, n));
     if needed > cfg.max_runs {
         return Err(enumerate::BudgetExceeded { max_runs: cfg.max_runs, needed });
@@ -224,7 +265,8 @@ pub fn check<A: Algorithm>(
     let mut frames: Vec<Frame<A::State>> = (0..=cfg.depth).map(|_| Frame::new(n)).collect();
     for x in &all_inputs(n, values) {
         let mut prev: Option<&GraphSeq> = None;
-        for seq in &seqs {
+        for seq in seqs.clone() {
+            assert_eq!(seq.rounds(), cfg.depth, "sequence {seq} is not at the check depth");
             // The first round not shared with the previous sequence.
             let resume = prev
                 .map_or(0, |p| 1 + p.iter().zip(seq.iter()).take_while(|(a, b)| a == b).count());
@@ -254,8 +296,8 @@ pub fn check<A: Algorithm>(
     Ok(report)
 }
 
-/// A configuration of the prefix walk in [`check`], with each process's
-/// first decision and revocation flag up to its round.
+/// A configuration of the prefix walk in [`check_sequences`], with each
+/// process's first decision and revocation flag up to its round.
 struct Frame<S> {
     states: Vec<S>,
     decisions: Vec<Option<(Round, Value)>>,

@@ -71,6 +71,35 @@ fn expansions_byte_identical_across_worker_counts() {
     }
 }
 
+/// Each sequence and each input assignment is stored once: every run
+/// points at the same sequence allocation as the run over that sequence
+/// under the first input assignment, and at the same inputs as the first
+/// run of its assignment. This holds after a build, an in-place extension
+/// and a ladder rung, serial or sharded.
+#[test]
+fn runs_share_sequences_and_inputs_across_worker_counts() {
+    for entry in catalog::entries() {
+        let ma = entry.build();
+        for threads in thread_counts() {
+            let cfg = CFG.threads(threads);
+            let built = PrefixSpace::expand(&ma, VALUES, 2, &cfg).unwrap();
+            let shallow = PrefixSpace::expand(&ma, VALUES, 1, &cfg).unwrap();
+            let extended = shallow.extend(&ma, &cfg).unwrap();
+            let laddered = built.extend_from(&ma, &cfg).unwrap();
+            for (how, space) in [("build", &built), ("extend", &extended), ("rung", &laddered)] {
+                let (runs, k) = (space.runs(), space.sequence_count());
+                let at = format!("{}@{} {how} threads={threads}", entry.name, space.depth());
+                assert!(runs.len() > k, "{at}: a single input assignment shares nothing");
+                for (i, run) in runs.iter().enumerate() {
+                    assert!(std::ptr::eq(run.seq(), runs[i % k].seq()), "{at}: run {i} sequence");
+                    let first = &runs[i - i % k];
+                    assert!(std::ptr::eq(run.inputs(), first.inputs()), "{at}: run {i} inputs");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn spaces_and_components_identical_across_worker_counts() {
     for entry in catalog::entries() {

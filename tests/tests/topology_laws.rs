@@ -22,7 +22,7 @@ fn random_run(rng: &mut StdRng, n: usize, t: usize) -> (Vec<u32>, Vec<u64>) {
 fn materialize(n: usize, inputs: &[u32], codes: &[u64], table: &mut ViewTable) -> PrefixRun {
     let graphs: Vec<Digraph> =
         codes.iter().map(|&c| Digraph::from_code(n, c).normalized()).collect();
-    PrefixRun::compute(inputs.to_vec(), &GraphSeq::from_graphs(graphs), table)
+    PrefixRun::compute(inputs, GraphSeq::from_graphs(graphs), table)
 }
 
 /// T7 / Theorem 4.3: symmetry, triangle inequality, monotonicity in P,

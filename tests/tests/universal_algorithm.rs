@@ -272,23 +272,77 @@ fn assert_matches_oracle<A: Algorithm>(
     kinds.extend(walked.violations.iter().map(violation_kind));
 }
 
+/// The checks that walk a space's own sequences equal `checker::check(alg,
+/// ma, …)`, which enumerates them, in all four report fields: FloodMin's
+/// walk under both validities, and for the weak and the strong synthesis
+/// both the plain walk and `UniversalAlgorithm::verify`, whose first call
+/// per flavor walks and fills the space's memo and whose second, from a
+/// fresh synthesis, must return that memo. The two flavors' memos must be
+/// distinct: on these spaces their reports coincide, so only identity
+/// tells a memo keyed without the flavor apart. Returns whether both
+/// flavors synthesized.
+fn assert_space_checks_match(
+    space: &PrefixSpace,
+    ma: &dyn MessageAdversary,
+    values: &[Value],
+    at: &str,
+) -> bool {
+    let (n, depth) = (space.n(), space.depth());
+    for strong in [false, true] {
+        let cfg = CheckConfig::at_depth(depth).strong_validity(strong);
+        let flood = simulator::algorithms::FloodMin::new(depth);
+        let walked = checker::check_sequences(&flood, n, values, space.sequences(), &cfg).unwrap();
+        let enumerated = checker::check(&flood, ma, values, &cfg).unwrap();
+        assert_eq!(walked, enumerated, "{at} floodmin strong={strong}");
+    }
+    let mut memos: Vec<&CheckReport> = Vec::new();
+    for strong in [false, true] {
+        let synthesize = match strong {
+            false => UniversalAlgorithm::synthesize,
+            true => UniversalAlgorithm::synthesize_strong,
+        };
+        let Some(alg) = synthesize(space) else {
+            continue;
+        };
+        let at = format!("{at} universal strong={strong}");
+        let cfg = CheckConfig::at_depth(depth).strong_validity(strong);
+        let enumerated = checker::check(&synthesize(space).unwrap(), ma, values, &cfg).unwrap();
+        let walked = checker::check_sequences(&alg, n, values, space.sequences(), &cfg).unwrap();
+        assert_eq!(walked, enumerated, "{at} walk");
+        let memo = alg.verify(space);
+        assert_eq!(*memo, enumerated, "{at} memo filled");
+        let again = synthesize(space).unwrap();
+        assert!(std::ptr::eq(again.verify(space), memo), "{at}: the memo was not reused");
+        memos.push(memo);
+    }
+    if let [weak, strong] = memos[..] {
+        assert!(!std::ptr::eq(weak, strong), "{at}: weak and strong share one memo");
+    }
+    memos.len() == 2
+}
+
 /// `checker::check` executes each admissible prefix once per input
 /// assignment; its report must equal per-run execution's over the catalog
 /// at depths 1..=5, for the reference algorithms, the revoking one and the
 /// synthesized universal algorithm (also one round past its horizon, where
 /// it interns new views in the same order), with strong validity and
 /// required termination on and off; and over {0, 1, 2} at depths 1..=3 for
-/// the weak and strong syntheses.
+/// the weak and strong syntheses. On every one of these spaces, the checks
+/// that walk the space's own sequences must equal `checker::check`
+/// ([`assert_space_checks_match`]).
 #[test]
 fn prefix_walk_matches_per_run_oracle_on_catalog() {
     use simulator::algorithms::{AdaptiveFlood, DirectionRule, FloodMin};
     let mut kinds = std::collections::BTreeSet::new();
+    let mut both_flavors = 0;
     let modes = [(false, false), (true, true)];
     for entry in adversary::catalog::entries() {
         let ma = entry.build();
         for depth in 1..=5 {
             let space = PrefixSpace::expand(&*ma, &[0, 1], depth, &ExpandConfig::default())
                 .unwrap_or_else(|e| panic!("{}@{depth}: {e}", entry.name));
+            let at = format!("{}@{depth}", entry.name);
+            both_flavors += usize::from(assert_space_checks_match(&space, &*ma, &[0, 1], &at));
             for (strong, term) in modes {
                 let cfg =
                     CheckConfig::at_depth(depth).strong_validity(strong).require_termination(term);
@@ -320,6 +374,8 @@ fn prefix_walk_matches_per_run_oracle_on_catalog() {
         for depth in 1..=3 {
             let space = PrefixSpace::expand(&*ma, &[0, 1, 2], depth, &ExpandConfig::default())
                 .unwrap_or_else(|e| panic!("{}@{depth}: {e}", entry.name));
+            let at = format!("{}@{depth} over 0..3", entry.name);
+            both_flavors += usize::from(assert_space_checks_match(&space, &*ma, &[0, 1, 2], &at));
             let syntheses: [fn(&PrefixSpace) -> Option<UniversalAlgorithm>; 2] =
                 [UniversalAlgorithm::synthesize, UniversalAlgorithm::synthesize_strong];
             for synthesize in syntheses {
@@ -346,4 +402,5 @@ fn prefix_walk_matches_per_run_oracle_on_catalog() {
     }
     let all = ["agreement", "irrevocability", "strong-validity", "termination", "validity"];
     assert_eq!(kinds.into_iter().collect::<Vec<_>>(), all);
+    assert!(both_flavors >= 30, "only {both_flavors} spaces verified both flavors");
 }
