@@ -11,14 +11,10 @@
 //! Admissible sequences are enumerated into a dense-ID [`SeqArena`] (one
 //! `(parent, graph)` node per prefix, flat round-offset table), so sequence
 //! identity is an index, never a hashed [`GraphSeq`]. Run computation —
-//! the dominant cost: interning `O(runs × n × depth)` views — is sharded
-//! over a scoped worker pool: the canonical run-index space is cut into
-//! contiguous chunks, each worker interns its chunk's views into a private
-//! [`ShardTable`] over the shared base, and the shards are absorbed back
-//! **in chunk order**, which provably reproduces the serial [`ViewId`]
-//! assignment (see [`ViewTable::absorb`]). Output is therefore
-//! byte-identical for every worker count, so fingerprint-keyed caches and
-//! persisted verdicts never observe which engine produced a space.
+//! the dominant cost: interning `O(runs × n × depth)` views — is one pass
+//! over the runs in canonical order, so each [`ViewId`] is the view's
+//! first-intern position in that order. Fingerprint-keyed caches, the
+//! depth ladder and persisted verdicts all rely on that order.
 //!
 //! Each admissible sequence is stored once, behind an `Arc` that every run
 //! over it shares; runs with equal inputs share one inputs slice too. The
@@ -29,31 +25,18 @@
 //! [`ViewId`]: ptgraph::ViewId
 
 use std::fmt;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
-use consensus_obs::trace::tracer;
 use dyngraph::{Digraph, GraphSeq};
-use ptgraph::{all_inputs, LocalViews, PrefixRun, ShardTable, Value, ViewInterner, ViewTable};
+use ptgraph::{all_inputs, PrefixRun, Value, ViewTable};
 
 use crate::arena::SeqArena;
 use crate::MessageAdversary;
 
-/// Contiguous chunks handed out per worker; more chunks than workers keeps
-/// the pool busy when chunk costs skew (deeper suffixes intern more).
-const CHUNKS_PER_WORKER: usize = 4;
-
 /// Telemetry of the engine pass that produced (or last extended) an
 /// [`Expansion`] — surfaced through sweep reports.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExpandStats {
-    /// Worker shards the run computation was cut into (1 = serial).
-    pub shards: usize,
-    /// Wall-clock milliseconds spent absorbing shard tables and remapping
-    /// run views (zero for the serial path).
-    pub merge_ms: f64,
     /// Approximate bytes held by the sequence arena / extension tables.
     pub arena_bytes: usize,
 }
@@ -177,8 +160,7 @@ pub fn inputs_count(values: &[Value], n: usize) -> usize {
 }
 
 /// Expand the full prefix space: every input assignment over `values`
-/// crossed with every admissible depth-`depth` sequence. Serial engine —
-/// see [`expand_with`] for the sharded one (identical output).
+/// crossed with every admissible depth-`depth` sequence.
 ///
 /// # Errors
 /// Returns [`BudgetExceeded`] if more than `max_runs` runs would be
@@ -190,24 +172,6 @@ pub fn expand(
     depth: usize,
     max_runs: usize,
 ) -> Result<Expansion, BudgetExceeded> {
-    expand_with(ma, values, depth, max_runs, 1)
-}
-
-/// [`expand`] with the run computation sharded over `threads` scoped
-/// workers (`≤ 1` = serial). The output — run order, interned view ids,
-/// table contents — is **byte-identical** for every thread count; only
-/// [`Expansion::stats`] records which engine ran.
-///
-/// # Errors
-/// Returns [`BudgetExceeded`] exactly as [`expand`] would (the pre-count
-/// runs before any workers start).
-pub fn expand_with(
-    ma: &dyn MessageAdversary,
-    values: &[Value],
-    depth: usize,
-    max_runs: usize,
-    threads: usize,
-) -> Result<Expansion, BudgetExceeded> {
     let n = ma.n();
     let inputs_count = inputs_count(values, n);
     let mut arena = SeqArena::new();
@@ -217,19 +181,41 @@ pub fn expand_with(
             .map_err(|e| BudgetExceeded { max_runs, needed: e.needed })?;
     }
     let arena_bytes = arena.approx_bytes();
-    let grid = Grid {
-        inputs: all_inputs(n, values).into_iter().map(Arc::from).collect(),
-        seqs: arena.into_frontier_seqs().into_iter().map(Arc::new).collect(),
-    };
+    let inputs = all_inputs(n, values);
+    let seqs: Vec<Arc<GraphSeq>> = arena.into_frontier_seqs().into_iter().map(Arc::new).collect();
+    // Input-major: run `t` is inputs `t / k` under sequence `t % k`, and
+    // every run shares its sequence's and its inputs' `Arc`.
     let mut table = ViewTable::new(n);
-    let (runs, shards, merge_ms) = compute_runs(&grid, threads, &mut table);
+    let mut runs = Vec::with_capacity(inputs.len() * seqs.len());
+    for x in inputs {
+        let x: Arc<[Value]> = Arc::from(x);
+        for seq in &seqs {
+            runs.push(PrefixRun::compute(Arc::clone(&x), Arc::clone(seq), &mut table));
+        }
+    }
     Ok(Expansion {
         runs,
         table,
         depth,
         values: values.to_vec(),
-        stats: ExpandStats { shards, merge_ms, arena_bytes },
+        stats: ExpandStats { arena_bytes },
     })
+}
+
+/// [`expand`] under its former signature, kept for callers that still
+/// pass a worker count: `threads` is ignored, and the result is
+/// [`expand`]'s.
+///
+/// # Errors
+/// Returns [`BudgetExceeded`] exactly as [`expand`] does.
+pub fn expand_with(
+    ma: &dyn MessageAdversary,
+    values: &[Value],
+    depth: usize,
+    max_runs: usize,
+    _threads: usize,
+) -> Result<Expansion, BudgetExceeded> {
+    expand(ma, values, depth, max_runs)
 }
 
 /// Convenience: binary inputs `{0, 1}`.
@@ -242,117 +228,6 @@ pub fn expand_binary(
     max_runs: usize,
 ) -> Result<Expansion, BudgetExceeded> {
     expand(ma, &[0, 1], depth, max_runs)
-}
-
-/// A canonical run-index space `[0, total)` whose runs can be computed
-/// into any interner — the shared view table on the serial path, a
-/// worker's [`ShardTable`] on the sharded one.
-trait RunSource: Sync {
-    /// Number of runs.
-    fn total(&self) -> usize;
-
-    /// Runs `range`, in index order, interning their views in `interner`.
-    fn runs<T: ViewInterner>(&self, range: Range<usize>, interner: &mut T) -> Vec<PrefixRun>;
-}
-
-/// The runs of a fresh expansion: every input assignment under every
-/// sequence, input-major (run `t` is inputs `t / k` under sequence
-/// `t % k`), sharing the sequence and inputs `Arc`s.
-struct Grid {
-    inputs: Vec<Arc<[Value]>>,
-    seqs: Vec<Arc<GraphSeq>>,
-}
-
-impl RunSource for Grid {
-    fn total(&self) -> usize {
-        self.inputs.len() * self.seqs.len()
-    }
-
-    fn runs<T: ViewInterner>(&self, range: Range<usize>, interner: &mut T) -> Vec<PrefixRun> {
-        let k = self.seqs.len();
-        range
-            .map(|t| {
-                let (x, seq) = (&self.inputs[t / k], &self.seqs[t % k]);
-                PrefixRun::compute(Arc::clone(x), Arc::clone(seq), interner)
-            })
-            .collect()
-    }
-}
-
-/// Compute every run of `source` into `table`: in one pass when `threads
-/// ≤ 1`, else sharded (see [`sharded_runs`]). Returns the runs, the shard
-/// count and the merge milliseconds.
-fn compute_runs<S: RunSource>(
-    source: &S,
-    threads: usize,
-    table: &mut ViewTable,
-) -> (Vec<PrefixRun>, usize, f64) {
-    let total = source.total();
-    if threads <= 1 || total == 0 {
-        (source.runs(0..total, table), 1, 0.0)
-    } else {
-        sharded_runs(total, threads, table, |range, shard| source.runs(range, shard))
-    }
-}
-
-/// Cut `[0, total)` into contiguous chunks, compute each chunk's runs in a
-/// worker-private [`ShardTable`], then absorb the shards into `table` in
-/// chunk order and remap the run views — the deterministic-merge core both
-/// [`expand_with`] and [`Expansion::extend_with`] share.
-fn sharded_runs<F>(
-    total: usize,
-    threads: usize,
-    table: &mut ViewTable,
-    compute: F,
-) -> (Vec<PrefixRun>, usize, f64)
-where
-    F: Fn(Range<usize>, &mut ShardTable<'_>) -> Vec<PrefixRun> + Sync,
-{
-    type ChunkSlot = Mutex<Option<(Vec<PrefixRun>, LocalViews)>>;
-    let chunk_count = total.min(threads.saturating_mul(CHUNKS_PER_WORKER)).max(1);
-    let slots: Vec<ChunkSlot> = (0..chunk_count).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let base: &ViewTable = table;
-    // Workers run on their own threads, so shard spans parent to the
-    // caller's innermost span (`expand`) explicitly.
-    let span_parent = tracer().current_id();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(chunk_count) {
-            scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= chunk_count {
-                    break;
-                }
-                let mut span = tracer().span_under("shard", span_parent);
-                let lo = c * total / chunk_count;
-                let hi = (c + 1) * total / chunk_count;
-                let mut shard = ShardTable::new(base);
-                let runs = compute(lo..hi, &mut shard);
-                span.set_attr("chunk", c);
-                span.set_attr("runs", runs.len());
-                *slots[c].lock().expect("shard slot poisoned") = Some((runs, shard.into_local()));
-            });
-        }
-    });
-
-    let merge_start = Instant::now();
-    let mut all = Vec::with_capacity(total);
-    {
-        let _span = tracer().span_under("absorb", span_parent).with_attr("shards", chunk_count);
-        for slot in slots {
-            let (mut runs, local) = slot
-                .into_inner()
-                .expect("shard slot poisoned")
-                .expect("every chunk was claimed by a worker");
-            let remap = table.absorb(&local);
-            for run in &mut runs {
-                run.remap_views(local.base_len(), &remap);
-            }
-            all.append(&mut runs);
-        }
-    }
-    let merge_ms = merge_start.elapsed().as_secs_f64() * 1e3;
-    (all, chunk_count, merge_ms)
 }
 
 impl Expansion {
@@ -369,24 +244,8 @@ impl Expansion {
         ma: &dyn MessageAdversary,
         max_runs: usize,
     ) -> Result<(), BudgetExceeded> {
-        self.extend_with(ma, max_runs, 1)
-    }
-
-    /// [`extend`](Self::extend) with the run extension sharded over
-    /// `threads` scoped workers (`≤ 1` = serial); output is byte-identical
-    /// for every thread count.
-    ///
-    /// # Errors
-    /// Returns [`BudgetExceeded`] if the extension would exceed `max_runs`;
-    /// the expansion is left unchanged in that case.
-    pub fn extend_with(
-        &mut self,
-        ma: &dyn MessageAdversary,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<(), BudgetExceeded> {
         let next = Extension::plan(&self.runs, self.extension_slots(), ma, max_runs)?;
-        let (runs, stats) = next.compute(threads, &mut self.table);
+        let (runs, stats) = next.compute(&mut self.table);
         self.runs = runs;
         self.depth += 1;
         self.stats = stats;
@@ -395,8 +254,8 @@ impl Expansion {
 
     /// The expansion one round deeper, leaving `self` intact: the new runs
     /// are computed from these runs into a copy of the view table, the
-    /// only state copied. Identical to [`extend_with`](Self::extend_with)
-    /// on a clone.
+    /// only state copied. Identical to [`extend`](Self::extend) on a
+    /// clone.
     ///
     /// # Errors
     /// Returns [`BudgetExceeded`] if the extension would exceed
@@ -405,11 +264,10 @@ impl Expansion {
         &self,
         ma: &dyn MessageAdversary,
         max_runs: usize,
-        threads: usize,
     ) -> Result<Expansion, BudgetExceeded> {
         let next = Extension::plan(&self.runs, self.extension_slots(), ma, max_runs)?;
         let mut table = self.table.clone();
-        let (runs, stats) = next.compute(threads, &mut table);
+        let (runs, stats) = next.compute(&mut table);
         Ok(Expansion { runs, table, depth: self.depth + 1, values: self.values.clone(), stats })
     }
 }
@@ -465,31 +323,19 @@ impl<'a> Extension<'a> {
     }
 
     /// Compute the runs into `table`, with the telemetry of this pass.
-    fn compute(&self, threads: usize, table: &mut ViewTable) -> (Vec<PrefixRun>, ExpandStats) {
-        let (runs, shards, merge_ms) = compute_runs(self, threads, table);
+    /// Under each input assignment (one block of `k` base runs), each next
+    /// sequence in order extends its parent's run: the order a per-run
+    /// walk appends them in.
+    fn compute(&self, table: &mut ViewTable) -> (Vec<PrefixRun>, ExpandStats) {
+        let blocks = self.base.len().checked_div(self.k).unwrap_or(0);
+        let mut runs = Vec::with_capacity(blocks * self.seqs.len());
+        for block in self.base.chunks_exact(self.k.max(1)) {
+            for (seq, &parent) in self.seqs.iter().zip(&self.parents) {
+                runs.push(block[parent].extended(Arc::clone(seq), table));
+            }
+        }
         let arena_bytes = self.seqs.len() * std::mem::size_of::<Digraph>();
-        (runs, ExpandStats { shards, merge_ms, arena_bytes })
-    }
-}
-
-impl RunSource for Extension<'_> {
-    /// Runs per input assignment times input assignments.
-    fn total(&self) -> usize {
-        self.seqs.len() * self.base.len().checked_div(self.k).unwrap_or(0)
-    }
-
-    /// New run `t` extends base run `(t / K)·k + parents[t % K]` to
-    /// sequence `t % K`, where `K` is the next depth's sequence count: the
-    /// order a per-run walk appends them in.
-    fn runs<T: ViewInterner>(&self, range: Range<usize>, interner: &mut T) -> Vec<PrefixRun> {
-        let next = self.seqs.len();
-        range
-            .map(|t| {
-                let (xi, j) = (t / next, t % next);
-                let run = &self.base[xi * self.k + self.parents[j]];
-                run.extended(Arc::clone(&self.seqs[j]), interner)
-            })
-            .collect()
+        (runs, ExpandStats { arena_bytes })
     }
 }
 
@@ -579,43 +425,6 @@ mod tests {
         for r in same {
             assert_eq!(r.views_at(1), a.views_at(1));
         }
-    }
-
-    #[test]
-    fn parallel_expand_byte_identical_to_serial() {
-        let ma = GeneralMA::oblivious(generators::lossy_link_full());
-        let serial = expand(&ma, &[0, 1], 3, 1_000_000).unwrap();
-        for threads in [2, 3, 8] {
-            let par = expand_with(&ma, &[0, 1], 3, 1_000_000, threads).unwrap();
-            assert_eq!(par.runs, serial.runs, "threads={threads}");
-            assert_eq!(par.table, serial.table, "threads={threads}");
-            assert!(par.stats.shards > 1, "threads={threads} must shard");
-        }
-    }
-
-    #[test]
-    fn parallel_extend_byte_identical_to_serial() {
-        let ma = GeneralMA::oblivious(generators::lossy_link_full());
-        let mut serial = expand(&ma, &[0, 1], 1, 1_000_000).unwrap();
-        let mut par = serial.clone();
-        for _ in 0..3 {
-            serial.extend(&ma, 1_000_000).unwrap();
-            par.extend_with(&ma, 1_000_000, 4).unwrap();
-            assert_eq!(par.runs, serial.runs);
-            assert_eq!(par.table, serial.table);
-        }
-    }
-
-    #[test]
-    fn parallel_budget_error_matches_serial() {
-        let ma = GeneralMA::oblivious(generators::lossy_link_full());
-        let a = expand(&ma, &[0, 1], 8, 100).unwrap_err();
-        let b = expand_with(&ma, &[0, 1], 8, 100, 4).unwrap_err();
-        assert_eq!(a, b);
-        let mut space = expand(&ma, &[0, 1], 2, 1_000_000).unwrap();
-        let c = space.clone().extend(&ma, 10).unwrap_err();
-        let d = space.extend_with(&ma, 10, 4).unwrap_err();
-        assert_eq!(c, d);
     }
 
     #[test]

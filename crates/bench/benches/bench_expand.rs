@@ -1,16 +1,16 @@
-//! Expansion-engine benches — the parallel/arena datum of ISSUE 3: cold
-//! serial vs cold sharded expansion vs the one-round ladder, at depths
-//! 1–5 over the whole adversary catalog, emitted to `BENCH_expand.json`
-//! at the repo root so the perf trajectory accumulates across PRs.
+//! Expansion-engine benches: cold expansion vs the one-round ladder, at
+//! depths 1–5 over the whole adversary catalog, emitted to
+//! `BENCH_expand.json` at the repo root so the perf trajectory
+//! accumulates across changes.
 //!
-//! Every measured pass is also checked byte-identical to the serial
-//! engine (same runs, same interned view ids) — a bench that drifted
-//! from the equivalence contract would be measuring a different machine.
+//! Every laddered pass is also checked against the cold build (same runs
+//! in the same order, same view count) — a bench that drifted from it
+//! would be measuring a different machine.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use adversary::enumerate::{expand, expand_with, Expansion};
+use adversary::enumerate::{expand, Expansion};
 use adversary::{catalog, DynMA};
 use consensus_lab::json::Value as Json;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -24,14 +24,6 @@ const REPS: usize = 5;
 
 fn ms(d: Duration) -> f64 {
     (d.as_secs_f64() * 1e6).round() / 1e3
-}
-
-/// Worker count for the sharded engine: all available cores, floored at 2
-/// so the shard/merge machinery is always the thing measured (on a 1-core
-/// box the datum then records the sharding overhead honestly instead of
-/// silently re-measuring the serial path).
-fn workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(2)
 }
 
 /// The catalog adversaries, deduplicated by structural fingerprint (e.g.
@@ -53,13 +45,12 @@ struct DepthDatum {
     runs: usize,
     views: usize,
     serial_ms: f64,
-    parallel_ms: f64,
     ladder_ms: f64,
 }
 
-/// Measure one depth across the catalog: cold serial, cold parallel (and
-/// equivalence), and the one-round ladder extension from depth − 1.
-fn measure_depth(pool: &[DynMA], depth: usize, threads: usize) -> DepthDatum {
+/// Measure one depth across the catalog: the cold build and the
+/// one-round ladder extension from depth − 1.
+fn measure_depth(pool: &[DynMA], depth: usize) -> DepthDatum {
     let mut datum = DepthDatum {
         depth,
         adversaries: 0,
@@ -67,7 +58,6 @@ fn measure_depth(pool: &[DynMA], depth: usize, threads: usize) -> DepthDatum {
         runs: 0,
         views: 0,
         serial_ms: 0.0,
-        parallel_ms: 0.0,
         ladder_ms: 0.0,
     };
     for ma in pool {
@@ -89,24 +79,12 @@ fn measure_depth(pool: &[DynMA], depth: usize, threads: usize) -> DepthDatum {
         datum.runs += serial.runs.len();
         datum.views += serial.table.len();
 
-        let t1 = Instant::now();
-        let mut parallel = None;
-        for _ in 0..REPS {
-            parallel = Some(
-                expand_with(ma, VALUES, depth, BUDGET, threads).expect("serial fit the budget"),
-            );
-        }
-        let parallel = parallel.expect("REPS >= 1");
-        datum.parallel_ms += ms(t1.elapsed());
-        assert_eq!(parallel.runs, serial.runs, "parallel expansion must be byte-identical");
-        assert_eq!(parallel.table, serial.table, "parallel interning must be byte-identical");
-
         let base: Expansion = expand(ma, VALUES, depth - 1, BUDGET).expect("shallower fits");
         let t2 = Instant::now();
         let mut laddered = base.clone();
         for rep in 0..REPS {
             let mut e = base.clone();
-            e.extend_with(ma, BUDGET, threads).expect("extension fits the budget");
+            e.extend(ma, BUDGET).expect("extension fits the budget");
             if rep == REPS - 1 {
                 laddered = e;
             }
@@ -124,28 +102,18 @@ fn measure_depth(pool: &[DynMA], depth: usize, threads: usize) -> DepthDatum {
     datum
 }
 
-fn emit_bench_json(pool: &[DynMA], threads: usize) {
+fn emit_bench_json(pool: &[DynMA]) {
     let mut per_depth = Vec::new();
-    let (mut serial_total, mut parallel_total, mut ladder_total) = (0.0f64, 0.0f64, 0.0f64);
+    let (mut serial_total, mut ladder_total) = (0.0f64, 0.0f64);
     let (mut runs_total, mut views_total) = (0usize, 0usize);
     for depth in DEPTHS {
-        let d = measure_depth(pool, depth, threads);
+        let d = measure_depth(pool, depth);
         println!(
             "[expand] depth {}: {} adversaries ({} over budget), {} runs, {} views; \
-             serial {:.1} ms, parallel({} workers) {:.1} ms ({:.2}×), ladder {:.1} ms",
-            d.depth,
-            d.adversaries,
-            d.skipped_budget,
-            d.runs,
-            d.views,
-            d.serial_ms,
-            threads,
-            d.parallel_ms,
-            d.serial_ms / d.parallel_ms.max(1e-9),
-            d.ladder_ms,
+             cold {:.1} ms, ladder {:.1} ms",
+            d.depth, d.adversaries, d.skipped_budget, d.runs, d.views, d.serial_ms, d.ladder_ms,
         );
         serial_total += d.serial_ms;
-        parallel_total += d.parallel_ms;
         ladder_total += d.ladder_ms;
         runs_total += d.runs;
         views_total += d.views;
@@ -156,20 +124,16 @@ fn emit_bench_json(pool: &[DynMA], threads: usize) {
             ("runs".into(), Json::Int(d.runs as i64)),
             ("views".into(), Json::Int(d.views as i64)),
             ("serial_ms".into(), Json::Float(d.serial_ms)),
-            ("parallel_ms".into(), Json::Float(d.parallel_ms)),
             ("ladder_ms".into(), Json::Float(d.ladder_ms)),
         ]));
     }
     let datum = Json::Obj(vec![
         ("bench".into(), Json::Str("expand".into())),
-        ("threads".into(), Json::Int(threads as i64)),
         ("adversaries".into(), Json::Int(pool.len() as i64)),
         ("runs".into(), Json::Int(runs_total as i64)),
         ("views".into(), Json::Int(views_total as i64)),
         ("cold_serial_ms".into(), Json::Float(serial_total)),
-        ("cold_parallel_ms".into(), Json::Float(parallel_total)),
         ("ladder_ms".into(), Json::Float(ladder_total)),
-        ("speedup_parallel".into(), Json::Float(serial_total / parallel_total.max(1e-9))),
         ("per_depth".into(), Json::Arr(per_depth)),
     ]);
     let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| {
@@ -183,11 +147,10 @@ fn emit_bench_json(pool: &[DynMA], threads: usize) {
 
 fn bench_expand(c: &mut Criterion) {
     let pool = distinct_catalog();
-    let threads = workers();
-    emit_bench_json(&pool, threads);
+    emit_bench_json(&pool);
 
     // Criterion groups on one representative heavy entry (the full lossy
-    // link, the densest n = 2 branching) — serial vs sharded vs ladder.
+    // link, the densest n = 2 branching) — cold build vs ladder.
     let ma = catalog::by_name("sw-lossy-link").expect("catalog entry").build();
     let mut group = c.benchmark_group("expand/sw-lossy-link");
     group.sample_size(10);
@@ -195,14 +158,11 @@ fn bench_expand(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("serial", depth), &depth, |b, &d| {
             b.iter(|| black_box(expand(&ma, VALUES, d, BUDGET).unwrap().runs.len()))
         });
-        group.bench_with_input(BenchmarkId::new("parallel", depth), &depth, |b, &d| {
-            b.iter(|| black_box(expand_with(&ma, VALUES, d, BUDGET, threads).unwrap().runs.len()))
-        });
         let base = expand(&ma, VALUES, depth - 1, BUDGET).unwrap();
         group.bench_with_input(BenchmarkId::new("ladder", depth), &depth, |b, _| {
             b.iter(|| {
                 let mut e = base.clone();
-                e.extend_with(&ma, BUDGET, threads).unwrap();
+                e.extend(&ma, BUDGET).unwrap();
                 black_box(e.runs.len())
             })
         });

@@ -46,7 +46,7 @@ USAGE:
 
     consensus-lab check (--spec TERM | --adversary NAME | --pool \"-> <- <->\"
                         [--eventually G [--by R]])
-                        [--depth D] [--analysis KIND] [--budget RUNS] [--expand-threads N]
+                        [--depth D] [--analysis KIND] [--budget RUNS]
                         [--certificate] [--trace-out FILE]
         Run one scenario and print the record.
           --spec TERM      an adversary-combinator term of the shared spec
@@ -74,7 +74,7 @@ USAGE:
 
     consensus-lab sweep (--catalog | --spec TERM)
                         [--max-depth D] [--analyses K1,K2] [--budget RUNS]
-                        [--threads N] [--expand-threads N] [--out DIR] [--repeat N]
+                        [--threads N] [--out DIR] [--repeat N]
                         [--time-limit-ms MS] [--shard I/N] [--resume DIR]
                         [--cache-dir DIR] [--strict] [--assert-warm] [--trace-out FILE]
         Run the scenario grid over the catalog (or one --spec adversary)
@@ -91,10 +91,6 @@ USAGE:
                            confirm it conclusively at the deepest depth
           --assert-warm    exit nonzero if any full prefix-space expansion
                            was needed (CI warm-cache regression check)
-          --expand-threads N
-                           shard each prefix-space expansion over N scoped
-                           workers (0 = all available cores, 1 = serial;
-                           results are byte-identical either way)
           --trace-out FILE write the sweep's spans to FILE as JSONL;
                            results.jsonl stays byte-identical with or
                            without tracing
@@ -129,7 +125,7 @@ USAGE:
         Exit 1 on any regression.
 
     consensus-lab serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR]
-                        [--expand-threads N] [--budget RUNS] [--warm-from HOST:PORT]
+                        [--budget RUNS] [--warm-from HOST:PORT]
                         [--trace-out FILE | --trace]
         Serve the solvability query API over HTTP/1.1: POST /v1/check,
         POST /v1/sweep (optional \"shard\":\"i/n\" slice), GET /v1/catalog,
@@ -436,14 +432,6 @@ fn parse_spec(flags: &Flags) -> Result<AdversarySpec, String> {
     }
 }
 
-/// Resolve `--expand-threads`: an explicit 0 = all available cores,
-/// 1 = serial, N = that many expansion workers; absent = `default`
-/// (both subcommands default to serial). The 0-means-auto resolution is
-/// `ExpandConfig`'s own convention, so the flag value passes through.
-fn expand_threads(flags: &Flags, default: usize) -> Result<usize, String> {
-    flags.get_usize("expand-threads", default)
-}
-
 fn cmd_check(args: &[String]) -> ExitCode {
     let flags = match Flags::parse(args) {
         Ok(f) => f,
@@ -458,7 +446,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
         "depth",
         "analysis",
         "budget",
-        "expand-threads",
         "certificate",
         "trace-out",
     ]) {
@@ -490,12 +477,8 @@ fn cmd_check(args: &[String]) -> ExitCode {
             Err(e) => return fail(&e.to_string()),
         },
     };
-    let threads = match expand_threads(&flags, 1) {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
     let session = match Session::with_configs(
-        ExpandConfig { threads, max_runs: budget },
+        ExpandConfig::with_budget(budget),
         AnalysisConfig::default(),
         CacheConfig::default(),
     ) {
@@ -636,7 +619,6 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         "analyses",
         "budget",
         "threads",
-        "expand-threads",
         "out",
         "repeat",
         "time-limit-ms",
@@ -825,10 +807,6 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         .cloned()
         .collect();
 
-    let expand_workers = match expand_threads(&flags, 1) {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
     // One session across repeats: its space cache persists, so pass 2+
     // runs warm and demonstrates constructions ≪ scenarios.
     let mut cache_cfg = CacheConfig::default();
@@ -836,7 +814,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         cache_cfg = cache_cfg.disk_dir(dir);
     }
     let mut session = match Session::with_configs(
-        ExpandConfig { threads: expand_workers, max_runs: budget },
+        ExpandConfig::with_budget(budget),
         AnalysisConfig::default(),
         cache_cfg,
     ) {
@@ -1169,7 +1147,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         "addr",
         "threads",
         "cache-dir",
-        "expand-threads",
         "budget",
         "warm-from",
         "trace-out",
@@ -1206,10 +1183,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Ok(b) => b,
         Err(e) => return fail(&e),
     };
-    let expand_workers = match expand_threads(&flags, 1) {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
     let mut cache_cfg = CacheConfig::default();
     if flags.has("cache-dir") {
         match flags.get("cache-dir") {
@@ -1219,7 +1192,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     }
     let journal = cache_cfg.disk_dir.clone();
     let session = match Session::with_configs(
-        ExpandConfig { threads: expand_workers, max_runs: budget },
+        ExpandConfig::with_budget(budget),
         AnalysisConfig::default(),
         cache_cfg,
     ) {

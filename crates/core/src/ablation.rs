@@ -153,7 +153,7 @@ mod tests {
 
     use crate::config::ExpandConfig;
 
-    const CFG: ExpandConfig = ExpandConfig { threads: 1, max_runs: 1_000_000 };
+    const CFG: ExpandConfig = ExpandConfig { max_runs: 1_000_000 };
 
     #[test]
     fn ball_bfs_matches_union_find() {

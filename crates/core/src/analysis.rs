@@ -183,7 +183,7 @@ mod tests {
 
     use crate::config::ExpandConfig;
 
-    const CFG: ExpandConfig = ExpandConfig { threads: 1, max_runs: 1_000_000 };
+    const CFG: ExpandConfig = ExpandConfig { max_runs: 1_000_000 };
 
     #[test]
     fn report_reduced_lossy_link() {

@@ -1,15 +1,10 @@
 //! Typed configuration for the expansion engine, the analyses, and the
 //! caching layers — the `Config` half of the [`Session`]/`Query` facade.
 //!
-//! Three PRs of engine growth (sweeps, persistence, parallel expansion)
-//! each threaded a new knob through the stack as a positional parameter,
-//! breeding `_with` variants at every seam (`PrefixSpace::build` /
-//! `build_with` / `extended` / `extended_with` / …). These structs collapse
-//! that sprawl: a knob is a named field with a documented default, and
-//! adding the *next* knob is additive instead of signature-breaking.
+//! A knob is a named field with a documented default, so adding the next
+//! one does not change any signature.
 //!
-//! * [`ExpandConfig`] — how prefix spaces are expanded (worker shards,
-//!   run budget);
+//! * [`ExpandConfig`] — how large a prefix space may grow (run budget);
 //! * [`AnalysisConfig`] — what the solvability analyses do (depth ladder
 //!   ceiling, validity flavor, chain search);
 //! * [`CacheConfig`] — where answers are memoized (in-memory spaces,
@@ -24,29 +19,17 @@ use std::path::PathBuf;
 
 /// Configuration of a prefix-space expansion pass.
 ///
-/// Replaces the positional `(max_runs, threads)` tail of the old
-/// `PrefixSpace::build_with` / `extended_with` / `extended_from_with`
-/// family. The expanded space is **byte-identical for every `threads`
-/// value** — the knob trades CPU for wall clock, never results.
-///
 /// ```
 /// use consensus_core::config::ExpandConfig;
 ///
-/// let cfg = ExpandConfig::new().threads(4).max_runs(500_000);
-/// assert_eq!(cfg.threads, 4);
+/// let cfg = ExpandConfig::new().max_runs(500_000);
 /// assert_eq!(cfg.max_runs, 500_000);
-/// // Defaults: serial expansion, the 2·10⁶-run budget.
-/// assert_eq!(ExpandConfig::default().threads, 1);
+/// assert_eq!(cfg, ExpandConfig::with_budget(500_000));
+/// // Default: the 2·10⁶-run budget.
 /// assert_eq!(ExpandConfig::default().max_runs, 2_000_000);
-/// // 0 = all available cores (the facade-wide auto convention).
-/// assert!(ExpandConfig::new().threads(0).effective_threads() >= 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExpandConfig {
-    /// Worker shards per expansion pass: `1` = serial (the default),
-    /// `0` = all available cores — the same auto convention as the
-    /// `Session` workers knob and the CLI's `--expand-threads`.
-    pub threads: usize,
     /// Step budget: the maximum number of admissible runs an expansion may
     /// produce before it fails with [`Error::Budget`](crate::Error::Budget).
     pub max_runs: usize,
@@ -54,41 +37,25 @@ pub struct ExpandConfig {
 
 impl Default for ExpandConfig {
     fn default() -> Self {
-        ExpandConfig { threads: 1, max_runs: 2_000_000 }
+        ExpandConfig { max_runs: 2_000_000 }
     }
 }
 
 impl ExpandConfig {
-    /// The default configuration: serial expansion, 2·10⁶-run budget.
+    /// The default configuration: 2·10⁶-run budget.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A serial configuration with an explicit run budget.
+    /// A configuration with an explicit run budget.
     pub fn with_budget(max_runs: usize) -> Self {
-        ExpandConfig { max_runs, ..Self::default() }
-    }
-
-    /// Set the worker-shard count (`1` = serial, `0` = all cores).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+        ExpandConfig { max_runs }
     }
 
     /// Set the run budget.
     pub fn max_runs(mut self, max_runs: usize) -> Self {
         self.max_runs = max_runs;
         self
-    }
-
-    /// The effective worker count (`≥ 1`): `threads`, with `0` resolved
-    /// to the available parallelism.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.threads
-        }
     }
 }
 
@@ -220,10 +187,9 @@ mod tests {
 
     #[test]
     fn defaults_match_the_legacy_constructors() {
-        // The legacy `SolvabilityChecker::new` / `PrefixSpace::build`
-        // defaults, so config-free sessions reproduce historical outputs.
-        let e = ExpandConfig::default();
-        assert_eq!((e.threads, e.max_runs), (1, 2_000_000));
+        // The defaults `SolvabilityChecker::new` has always used, so
+        // config-free sessions reproduce historical outputs.
+        assert_eq!(ExpandConfig::default().max_runs, 2_000_000);
         let a = AnalysisConfig::default();
         assert_eq!((a.max_depth, a.strong_validity, a.max_chain_cycle), (6, false, 3));
         let c = CacheConfig::default();
@@ -232,10 +198,7 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let e = ExpandConfig::with_budget(10).threads(0);
-        assert_eq!(e.max_runs, 10);
-        assert!(e.effective_threads() >= 1, "0 means all available cores");
-        assert_eq!(ExpandConfig::new().effective_threads(), 1, "default is serial");
+        assert_eq!(ExpandConfig::new().max_runs(10), ExpandConfig::with_budget(10));
         let a = AnalysisConfig::new().max_chain_cycle(5).max_depth(2);
         assert_eq!((a.max_depth, a.max_chain_cycle), (2, 5));
         let c = CacheConfig::new().memory(false).resume(false);

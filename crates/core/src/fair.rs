@@ -240,7 +240,7 @@ mod tests {
 
     use crate::config::ExpandConfig;
 
-    const CFG: ExpandConfig = ExpandConfig { threads: 1, max_runs: 1_000_000 };
+    const CFG: ExpandConfig = ExpandConfig { max_runs: 1_000_000 };
 
     #[test]
     fn empty_graph_pool_yields_zero_chain() {

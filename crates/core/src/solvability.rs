@@ -134,7 +134,8 @@ impl SpaceSource for FreshSpaces {
         depth: usize,
         max_runs: usize,
     ) -> Result<Arc<PrefixSpace>, enumerate::BudgetExceeded> {
-        PrefixSpace::build_impl(ma, values, depth, max_runs, 1).map(Arc::new)
+        PrefixSpace::expand_budgeted(ma, values, depth, &ExpandConfig::with_budget(max_runs))
+            .map(Arc::new)
     }
 }
 
@@ -161,14 +162,14 @@ pub struct SolvabilityChecker<M> {
 
 impl<M: MessageAdversary> SolvabilityChecker<M> {
     /// A checker with binary inputs and the default configs (depth ladder
-    /// to 6, weak validity, serial expansion, 2·10⁶-run budget).
+    /// to 6, weak validity, 2·10⁶-run budget).
     pub fn new(ma: M) -> Self {
         Self::with_config(ma, AnalysisConfig::default(), ExpandConfig::default())
     }
 
     /// A checker with binary inputs and explicit analysis/engine configs —
-    /// the typed replacement for chaining `max_depth` / `max_runs` /
-    /// `strong_validity` / `expand_threads` setters.
+    /// the typed alternative to chaining the `max_depth` / `max_runs` /
+    /// `strong_validity` setters.
     ///
     /// ```
     /// use consensus_core::config::{AnalysisConfig, ExpandConfig};
@@ -211,16 +212,6 @@ impl<M: MessageAdversary> SolvabilityChecker<M> {
     /// Set the maximum lasso cycle length searched for exact chains.
     pub fn max_chain_cycle(mut self, c: usize) -> Self {
         self.analysis.max_chain_cycle = c;
-        self
-    }
-
-    /// Legacy knob for the expansion worker count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "pass an `ExpandConfig` to `SolvabilityChecker::with_config` instead"
-    )]
-    pub fn expand_threads(mut self, threads: usize) -> Self {
-        self.expand.threads = threads.max(1);
         self
     }
 
@@ -563,36 +554,6 @@ mod tests {
                     assert_eq!(a.chain.is_some(), b.chain.is_some());
                 }
                 (a, b) => panic!("pool {pool:?}: check {a:?} vs check_via {b:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_checker_verdicts_match_serial() {
-        for pool in [
-            generators::lossy_link_reduced(),
-            generators::lossy_link_full(),
-            vec![Digraph::empty(2)],
-        ] {
-            let serial =
-                SolvabilityChecker::new(GeneralMA::oblivious(pool.clone())).max_depth(3).check();
-            let parallel = SolvabilityChecker::with_config(
-                GeneralMA::oblivious(pool.clone()),
-                crate::config::AnalysisConfig::new().max_depth(3),
-                crate::config::ExpandConfig::new().threads(8),
-            )
-            .check();
-            match (&serial, &parallel) {
-                (Verdict::Solvable(a), Verdict::Solvable(b)) => {
-                    assert_eq!(a.depth, b.depth);
-                    assert_eq!(a.component_count, b.component_count);
-                }
-                (Verdict::Unsolvable(_), Verdict::Unsolvable(_)) => {}
-                (Verdict::Undecided(a), Verdict::Undecided(b)) => {
-                    assert_eq!(a.mixed_components, b.mixed_components);
-                    assert_eq!(a.chain.is_some(), b.chain.is_some());
-                }
-                (a, b) => panic!("pool {pool:?}: serial {a:?} vs parallel {b:?}"),
             }
         }
     }

@@ -38,12 +38,8 @@ fn stage_components() -> &'static Arc<Histogram> {
 }
 
 /// The span of one extension to `depth`.
-fn extend_span(depth: usize, threads: usize) -> consensus_obs::trace::SpanGuard {
-    tracer()
-        .span("expand")
-        .with_attr("mode", "extend")
-        .with_attr("depth", depth)
-        .with_attr("threads", threads)
+fn extend_span(depth: usize) -> consensus_obs::trace::SpanGuard {
+    tracer().span("expand").with_attr("mode", "extend").with_attr("depth", depth)
 }
 
 /// The expanded and component-decomposed prefix space at one depth.
@@ -81,10 +77,7 @@ pub struct SpaceStats {
 impl PrefixSpace {
     /// Expand the adversary at `depth` over the input domain `values` and
     /// compute the ε-approximation components (`ε = 2^{−depth}`), under
-    /// `cfg`'s worker-shard count and run budget. The space — runs, view
-    /// ids, components — is byte-identical for every
-    /// [`threads`](ExpandConfig::threads) value (see
-    /// [`enumerate::expand_with`]).
+    /// `cfg`'s run budget.
     ///
     /// # Errors
     /// Returns [`Error::Budget`] if the space exceeds
@@ -95,26 +88,34 @@ impl PrefixSpace {
         depth: usize,
         cfg: &ExpandConfig,
     ) -> Result<Self, Error> {
-        Self::build_impl(ma, values, depth, cfg.max_runs, cfg.effective_threads())
-            .map_err(Error::from)
+        Self::expand_budgeted(ma, values, depth, cfg).map_err(Error::from)
     }
 
     /// Extend the space by one round incrementally: runs are extended in
     /// place (views interned once across the sweep) and components are
     /// recomputed at the new depth. On budget exhaustion the original space
-    /// is returned unchanged as the error payload.
+    /// is returned unchanged as the error payload, components and memo
+    /// included.
     ///
     /// # Errors
     /// Returns `(self, Error::Budget)` if the extension would exceed the
     /// budget (the space rides along in the error so callers keep it).
     #[allow(clippy::result_large_err)]
     pub fn extend(
-        self,
+        mut self,
         ma: &dyn MessageAdversary,
         cfg: &ExpandConfig,
     ) -> Result<Self, (Self, Error)> {
-        self.extend_impl(ma, cfg.max_runs, cfg.effective_threads())
-            .map_err(|(space, e)| (space, Error::from(e)))
+        {
+            let mut span = extend_span(self.depth() + 1);
+            let start = Instant::now();
+            if let Err(e) = self.expansion.extend(ma, cfg.max_runs) {
+                return Err((self, Error::from(e)));
+            }
+            stage_expand().record_duration(start.elapsed());
+            span.set_attr("runs", self.expansion.runs.len());
+        }
+        Ok(Self::from_expansion(self.expansion))
     }
 
     /// The space one round deeper, leaving `self` intact — the extension
@@ -140,8 +141,7 @@ impl PrefixSpace {
         ma: &dyn MessageAdversary,
         cfg: &ExpandConfig,
     ) -> Result<Self, Error> {
-        self.extend_from_impl(ma, cfg.max_runs, cfg.effective_threads())
-            .map_err(Error::from)
+        self.extend_from_budgeted(ma, cfg).map_err(Error::from)
     }
 
     /// [`expand`](Self::expand) with the budget-typed error of the
@@ -161,7 +161,17 @@ impl PrefixSpace {
         depth: usize,
         cfg: &ExpandConfig,
     ) -> Result<Self, enumerate::BudgetExceeded> {
-        Self::build_impl(ma, values, depth, cfg.max_runs, cfg.effective_threads())
+        let expansion = {
+            let mut span =
+                tracer().span("expand").with_attr("mode", "build").with_attr("depth", depth);
+            let start = Instant::now();
+            let expansion = enumerate::expand(ma, values, depth, cfg.max_runs)?;
+            stage_expand().record_duration(start.elapsed());
+            span.set_attr("runs", expansion.runs.len());
+            span.set_attr("views", expansion.table.len());
+            expansion
+        };
+        Ok(Self::from_expansion(expansion))
     }
 
     /// [`extend_from`](Self::extend_from) with the budget-typed error of
@@ -178,180 +188,15 @@ impl PrefixSpace {
         ma: &dyn MessageAdversary,
         cfg: &ExpandConfig,
     ) -> Result<Self, enumerate::BudgetExceeded> {
-        self.extend_from_impl(ma, cfg.max_runs, cfg.effective_threads())
-    }
-
-    pub(crate) fn build_impl(
-        ma: &dyn MessageAdversary,
-        values: &[Value],
-        depth: usize,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<Self, enumerate::BudgetExceeded> {
         let expansion = {
-            let mut span = tracer()
-                .span("expand")
-                .with_attr("mode", "build")
-                .with_attr("depth", depth)
-                .with_attr("threads", threads);
+            let mut span = extend_span(self.depth() + 1);
             let start = Instant::now();
-            let expansion = enumerate::expand_with(ma, values, depth, max_runs, threads)?;
-            stage_expand().record_duration(start.elapsed());
-            span.set_attr("runs", expansion.runs.len());
-            span.set_attr("views", expansion.table.len());
-            expansion
-        };
-        Ok(Self::from_expansion(expansion))
-    }
-
-    /// The in-place extension; on budget exhaustion the space comes back
-    /// whole, components and memo included.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn extend_impl(
-        mut self,
-        ma: &dyn MessageAdversary,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<Self, (Self, enumerate::BudgetExceeded)> {
-        {
-            let mut span = extend_span(self.depth() + 1, threads);
-            let start = Instant::now();
-            if let Err(e) = self.expansion.extend_with(ma, max_runs, threads) {
-                return Err((self, e));
-            }
-            stage_expand().record_duration(start.elapsed());
-            span.set_attr("runs", self.expansion.runs.len());
-        }
-        Ok(Self::from_expansion(self.expansion))
-    }
-
-    pub(crate) fn extend_from_impl(
-        &self,
-        ma: &dyn MessageAdversary,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<Self, enumerate::BudgetExceeded> {
-        let expansion = {
-            let mut span = extend_span(self.depth() + 1, threads);
-            let start = Instant::now();
-            let expansion = self.expansion.extended(ma, max_runs, threads)?;
+            let expansion = self.expansion.extended(ma, cfg.max_runs)?;
             stage_expand().record_duration(start.elapsed());
             span.set_attr("runs", expansion.runs.len());
             expansion
         };
         Ok(Self::from_expansion(expansion))
-    }
-
-    /// Legacy positional form of [`expand`](Self::expand).
-    ///
-    /// # Errors
-    /// Returns [`enumerate::BudgetExceeded`] if the space exceeds
-    /// `max_runs`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PrefixSpace::expand` with an `ExpandConfig`"
-    )]
-    pub fn build(
-        ma: &dyn MessageAdversary,
-        values: &[Value],
-        depth: usize,
-        max_runs: usize,
-    ) -> Result<Self, enumerate::BudgetExceeded> {
-        Self::build_impl(ma, values, depth, max_runs, 1)
-    }
-
-    /// Legacy positional form of [`expand`](Self::expand) with a thread
-    /// count.
-    ///
-    /// # Errors
-    /// Returns [`enumerate::BudgetExceeded`] if the space exceeds
-    /// `max_runs`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PrefixSpace::expand` with an `ExpandConfig`"
-    )]
-    pub fn build_with(
-        ma: &dyn MessageAdversary,
-        values: &[Value],
-        depth: usize,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<Self, enumerate::BudgetExceeded> {
-        Self::build_impl(ma, values, depth, max_runs, threads)
-    }
-
-    /// Legacy positional form of [`extend`](Self::extend).
-    ///
-    /// # Errors
-    /// Returns `(self, BudgetExceeded)` if the extension would exceed
-    /// `max_runs`.
-    #[allow(clippy::result_large_err)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PrefixSpace::extend` with an `ExpandConfig`"
-    )]
-    pub fn extended(
-        self,
-        ma: &dyn MessageAdversary,
-        max_runs: usize,
-    ) -> Result<Self, (Self, enumerate::BudgetExceeded)> {
-        self.extend_impl(ma, max_runs, 1)
-    }
-
-    /// Legacy positional form of [`extend`](Self::extend) with a thread
-    /// count.
-    ///
-    /// # Errors
-    /// Returns `(self, BudgetExceeded)` if the extension would exceed
-    /// `max_runs`.
-    #[allow(clippy::result_large_err)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PrefixSpace::extend` with an `ExpandConfig`"
-    )]
-    pub fn extended_with(
-        self,
-        ma: &dyn MessageAdversary,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<Self, (Self, enumerate::BudgetExceeded)> {
-        self.extend_impl(ma, max_runs, threads)
-    }
-
-    /// Legacy positional form of [`extend_from`](Self::extend_from).
-    ///
-    /// # Errors
-    /// Returns [`enumerate::BudgetExceeded`] if the extension would exceed
-    /// `max_runs`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PrefixSpace::extend_from` with an `ExpandConfig`"
-    )]
-    pub fn extended_from(
-        &self,
-        ma: &dyn MessageAdversary,
-        max_runs: usize,
-    ) -> Result<Self, enumerate::BudgetExceeded> {
-        self.extend_from_impl(ma, max_runs, 1)
-    }
-
-    /// Legacy positional form of [`extend_from`](Self::extend_from) with a
-    /// thread count.
-    ///
-    /// # Errors
-    /// Returns [`enumerate::BudgetExceeded`] if the extension would exceed
-    /// `max_runs`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PrefixSpace::extend_from` with an `ExpandConfig`"
-    )]
-    pub fn extended_from_with(
-        &self,
-        ma: &dyn MessageAdversary,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<Self, enumerate::BudgetExceeded> {
-        self.extend_from_impl(ma, max_runs, threads)
     }
 
     /// Component-decompose an existing expansion.
@@ -588,7 +433,7 @@ mod tests {
     use adversary::GeneralMA;
     use dyngraph::generators;
 
-    const CFG: ExpandConfig = ExpandConfig { threads: 1, max_runs: 1_000_000 };
+    const CFG: ExpandConfig = ExpandConfig { max_runs: 1_000_000 };
 
     fn reduced(depth: usize) -> PrefixSpace {
         let ma = GeneralMA::oblivious(generators::lossy_link_reduced());
@@ -744,9 +589,9 @@ mod tests {
     }
 
     /// `extend_from` reads the base and copies only its view table: after
-    /// a failed and a successful call, serial or sharded, the base's runs
-    /// (down to their shared sequences), table and verification memo are
-    /// those it had, and a new space starts with an empty memo.
+    /// a failed and a successful call, the base's runs (down to their
+    /// shared sequences), table and verification memo are those it had,
+    /// and a new space starts with an empty memo.
     #[test]
     fn extend_from_leaves_base_runs_table_and_memo_untouched() {
         let ma = GeneralMA::oblivious(generators::lossy_link_reduced());
@@ -754,7 +599,7 @@ mod tests {
         let memo: *const CheckReport = UniversalAlgorithm::synthesize(&base).unwrap().verify(&base);
         let (runs, table) = (base.runs().to_vec(), base.table().clone());
         let seqs: Vec<*const GraphSeq> = runs.iter().map(|r| r.seq() as *const _).collect();
-        for cfg in [ExpandConfig::with_budget(10), CFG, CFG.threads(4)] {
+        for cfg in [ExpandConfig::with_budget(10), CFG] {
             let deeper = base.extend_from(&ma, &cfg);
             assert_eq!(deeper.is_ok(), cfg.max_runs > 10);
             assert_eq!(base.runs(), runs);
@@ -792,36 +637,6 @@ mod tests {
         assert_eq!(space.runs().len(), runs_before);
         assert_eq!(space.depth(), 2);
         assert!(err.into_budget().unwrap().needed > 10);
-    }
-
-    #[test]
-    fn parallel_build_identical_components_and_views() {
-        let ma = GeneralMA::oblivious(generators::lossy_link_full());
-        for depth in 0..4 {
-            let serial = PrefixSpace::expand(&ma, &[0, 1], depth, &CFG).unwrap();
-            for threads in [2, 8] {
-                let par = PrefixSpace::expand(&ma, &[0, 1], depth, &CFG.threads(threads)).unwrap();
-                assert_eq!(par.runs(), serial.runs(), "depth {depth}, threads {threads}");
-                assert_eq!(par.table(), serial.table(), "depth {depth}, threads {threads}");
-                assert_eq!(
-                    par.components(),
-                    serial.components(),
-                    "depth {depth}, threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_ladder_identical_to_serial_ladder() {
-        let ma = GeneralMA::oblivious(generators::lossy_link_full());
-        let base = PrefixSpace::expand(&ma, &[0, 1], 1, &CFG).unwrap();
-        let serial = base.extend_from(&ma, &CFG).unwrap();
-        let par = base.extend_from(&ma, &CFG.threads(8)).unwrap();
-        assert_eq!(par.runs(), serial.runs());
-        assert_eq!(par.table(), serial.table());
-        assert_eq!(par.components(), serial.components());
-        assert!(par.expand_stats().shards > 1);
     }
 
     #[test]

@@ -241,7 +241,7 @@ mod tests {
 
     use crate::config::ExpandConfig;
 
-    const CFG: ExpandConfig = ExpandConfig { threads: 1, max_runs: 1_000_000 };
+    const CFG: ExpandConfig = ExpandConfig { max_runs: 1_000_000 };
 
     fn reduced_space(depth: usize) -> PrefixSpace {
         let ma = GeneralMA::oblivious(generators::lossy_link_reduced());

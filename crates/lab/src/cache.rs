@@ -12,7 +12,7 @@
 //! checker's depth sweep transparently reuses cached spaces too.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use adversary::{enumerate, MessageAdversary};
@@ -105,17 +105,13 @@ impl CacheStats {
     }
 }
 
-/// Accumulated expansion-engine telemetry over a sweep — what the space
-/// shards did, summed across every build and ladder extension the cache
-/// performed (see [`enumerate::ExpandStats`] for the per-pass datum).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Accumulated expansion-engine telemetry over a sweep, across every
+/// build and ladder extension the cache performed (see
+/// [`enumerate::ExpandStats`] for the per-pass datum).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExpandTotals {
     /// Engine passes (builds + ladder rungs) that reported stats.
     pub passes: usize,
-    /// Worker shards summed over all passes (= passes when serial).
-    pub shards: usize,
-    /// Milliseconds spent absorbing shard tables and remapping views.
-    pub merge_ms: f64,
     /// Peak approximate arena footprint of any single pass, in bytes.
     pub arena_bytes_peak: usize,
 }
@@ -132,52 +128,25 @@ pub struct SpaceCache {
     builds: AtomicUsize,
     ladder_hits: AtomicUsize,
     budget_misses: AtomicUsize,
-    /// Worker shards per expansion (0 and 1 both mean serial).
-    threads: usize,
     expand_passes: AtomicUsize,
-    expand_shards: AtomicUsize,
-    expand_merge_ns: AtomicU64,
     expand_arena_peak: AtomicUsize,
 }
 
 impl SpaceCache {
-    /// An empty cache with the serial expansion engine.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty cache whose misses expand under `cfg`'s worker count
-    /// (`1` = serial, `0` = all cores; the budget stays per-request).
-    /// Spaces are byte-identical for every worker count — the knob trades
-    /// CPU for wall clock, never results.
-    pub fn with_config(cfg: &ExpandConfig) -> Self {
-        SpaceCache { threads: cfg.effective_threads(), ..Self::default() }
-    }
-
-    /// Legacy positional form of [`with_config`](Self::with_config).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `SpaceCache::with_config` with an `ExpandConfig`"
-    )]
-    pub fn with_threads(threads: usize) -> Self {
-        SpaceCache { threads, ..Self::default() }
-    }
-
-    /// The configured expansion worker count (`≤ 1` = serial).
-    pub fn threads(&self) -> usize {
-        self.threads.max(1)
-    }
-
-    /// The expansion config for one request: the cache's worker count, the
-    /// request's budget.
-    fn expand_cfg(&self, max_runs: usize) -> ExpandConfig {
-        ExpandConfig { threads: self.threads(), max_runs }
+    /// An empty cache, the same as [`new`](Self::new): `cfg` is ignored,
+    /// because the budget is per request. Kept for callers that construct
+    /// a cache from a session's [`ExpandConfig`].
+    pub fn with_config(_cfg: &ExpandConfig) -> Self {
+        Self::new()
     }
 
     fn record_expand(&self, stats: enumerate::ExpandStats) {
         self.expand_passes.fetch_add(1, Ordering::Relaxed);
-        self.expand_shards.fetch_add(stats.shards, Ordering::Relaxed);
-        self.expand_merge_ns.fetch_add((stats.merge_ms * 1e6) as u64, Ordering::Relaxed);
         self.expand_arena_peak.fetch_max(stats.arena_bytes, Ordering::Relaxed);
     }
 
@@ -185,8 +154,6 @@ impl SpaceCache {
     pub fn expand_totals(&self) -> ExpandTotals {
         ExpandTotals {
             passes: self.expand_passes.load(Ordering::Relaxed),
-            shards: self.expand_shards.load(Ordering::Relaxed),
-            merge_ms: self.expand_merge_ns.load(Ordering::Relaxed) as f64 / 1e6,
             arena_bytes_peak: self.expand_arena_peak.load(Ordering::Relaxed),
         }
     }
@@ -278,7 +245,8 @@ impl SpaceCache {
                 Ok((space, false))
             }
             None => {
-                match PrefixSpace::expand_budgeted(ma, values, depth, &self.expand_cfg(max_runs)) {
+                let cfg = ExpandConfig::with_budget(max_runs);
+                match PrefixSpace::expand_budgeted(ma, values, depth, &cfg) {
                     Ok(space) => {
                         self.builds.fetch_add(1, Ordering::Relaxed);
                         span.set_attr("outcome", "build");
@@ -319,9 +287,10 @@ impl SpaceCache {
         max_runs: usize,
     ) -> Result<Arc<PrefixSpace>, enumerate::BudgetExceeded> {
         debug_assert!(base.depth() < depth);
+        let cfg = ExpandConfig::with_budget(max_runs);
         let mut current = base;
         while current.depth() < depth {
-            let next = Arc::new(current.extend_from_budgeted(ma, &self.expand_cfg(max_runs))?);
+            let next = Arc::new(current.extend_from_budgeted(ma, &cfg)?);
             self.record_expand(next.expand_stats());
             let rung: Key = (ma.fingerprint(), values.to_vec(), next.depth());
             let mut cached = self.spaces.lock().expect("cache lock poisoned");
@@ -450,26 +419,6 @@ mod tests {
         // A larger budget is a fresh attempt.
         assert!(cache.space_with_meta(&ma, &[0, 1], 5, 10_000_000).is_ok());
         assert_eq!(cache.stats().builds, 1);
-    }
-
-    #[test]
-    fn threaded_cache_serves_identical_spaces_and_counts_shards() {
-        let ma = GeneralMA::oblivious(generators::lossy_link_full());
-        let serial = SpaceCache::new();
-        let threaded = SpaceCache::with_config(&ExpandConfig::new().threads(8));
-        for depth in [2, 3] {
-            let (a, _) = serial.space_with_meta(&ma, &[0, 1], depth, 1_000_000).unwrap();
-            let (b, _) = threaded.space_with_meta(&ma, &[0, 1], depth, 1_000_000).unwrap();
-            assert_eq!(a.runs(), b.runs());
-            assert_eq!(a.table(), b.table());
-            assert_eq!(a.components(), b.components());
-        }
-        // Same cache trajectory: one build, one ladder extension each.
-        assert_eq!(serial.stats(), threaded.stats());
-        let totals = threaded.expand_totals();
-        assert_eq!(totals.passes, 2);
-        assert!(totals.shards > totals.passes, "threaded passes must shard");
-        assert_eq!(serial.expand_totals().shards, serial.expand_totals().passes);
     }
 
     /// Budgets bound work, not results: certification verifies the cached

@@ -23,7 +23,7 @@ pub struct SweepMeta {
     pub threads: usize,
     /// Space/disk cache counters accumulated over the sweep.
     pub cache: CacheStats,
-    /// Expansion-engine telemetry: shard counts, merge time, arena bytes.
+    /// Expansion-engine telemetry: passes and peak arena bytes.
     pub expand: ExpandTotals,
 }
 
@@ -47,8 +47,6 @@ impl SweepMeta {
                 "expand".into(),
                 Value::Obj(vec![
                     ("passes".into(), Value::Int(self.expand.passes as i64)),
-                    ("shards".into(), Value::Int(self.expand.shards as i64)),
-                    ("merge_ms".into(), Value::Float(self.expand.merge_ms)),
                     ("arena_bytes_peak".into(), Value::Int(self.expand.arena_bytes_peak as i64)),
                 ]),
             ),
@@ -57,18 +55,13 @@ impl SweepMeta {
 
     /// Parse the JSON form back; `None` if any field is missing/ill-typed.
     /// The `expand` block is optional (sidecars written before it existed
-    /// parse to zeroed telemetry).
+    /// parse to zeroed telemetry), and keys it no longer writes (`shards`,
+    /// `merge_ms`, from sweeps that sharded expansion) are ignored.
     pub fn from_json(v: &Value) -> Option<SweepMeta> {
         let cache = v.get("cache")?;
         let expand = match v.get("expand") {
             Some(e) => ExpandTotals {
                 passes: e.get_usize("passes")?,
-                shards: e.get_usize("shards")?,
-                merge_ms: match e.get("merge_ms") {
-                    Some(Value::Float(ms)) => *ms,
-                    Some(Value::Int(ms)) => *ms as f64,
-                    _ => return None,
-                },
                 arena_bytes_peak: e.get_usize("arena_bytes_peak")?,
             },
             None => ExpandTotals::default(),
@@ -100,8 +93,6 @@ impl SweepMeta {
             out.cache.disk_hits += m.cache.disk_hits;
             out.cache.budget_misses += m.cache.budget_misses;
             out.expand.passes += m.expand.passes;
-            out.expand.shards += m.expand.shards;
-            out.expand.merge_ms += m.expand.merge_ms;
             out.expand.arena_bytes_peak =
                 out.expand.arena_bytes_peak.max(m.expand.arena_bytes_peak);
         }
@@ -126,12 +117,8 @@ impl fmt::Display for SweepMeta {
         if self.expand.passes > 0 {
             write!(
                 f,
-                "; expansion engine: {} passes in {} shards, {:.2} ms merging, \
-                 peak arena {} bytes",
-                self.expand.passes,
-                self.expand.shards,
-                self.expand.merge_ms,
-                self.expand.arena_bytes_peak,
+                "; expansion engine: {} passes, peak arena {} bytes",
+                self.expand.passes, self.expand.arena_bytes_peak,
             )?;
         }
         Ok(())
@@ -243,7 +230,7 @@ mod tests {
                 disk_hits: 3,
                 budget_misses: 2,
             },
-            expand: ExpandTotals { passes: 15, shards: 60, merge_ms: 1.25, arena_bytes_peak: 4096 },
+            expand: ExpandTotals { passes: 15, arena_bytes_peak: 4096 },
         };
         let back =
             SweepMeta::from_json(&crate::json::parse(&a.to_json().to_string()).unwrap()).unwrap();
@@ -255,13 +242,12 @@ mod tests {
         assert_eq!(merged.cache.ladder_hits, 20);
         assert_eq!(merged.cache.disk_hits, 6);
         assert_eq!(merged.expand.passes, 30);
-        assert_eq!(merged.expand.shards, 120);
         assert_eq!(merged.expand.arena_bytes_peak, 4096, "peaks take the max, not the sum");
         let text = a.to_string();
         assert!(text.contains("10 ladder extensions"));
         assert!(text.contains("2 budget misses"));
         assert!(text.contains("disk cache: 3 hits"));
-        assert!(text.contains("15 passes in 60 shards"));
+        assert!(text.contains("15 passes, peak arena 4096 bytes"));
         assert!(SweepMeta::from_json(&Value::Null).is_none());
     }
 
@@ -274,6 +260,19 @@ mod tests {
         assert_eq!(meta.scenarios, 3);
         assert_eq!(meta.expand, ExpandTotals::default());
         assert!(!meta.to_string().contains("expansion engine"));
+    }
+
+    #[test]
+    fn sweep_meta_with_shard_telemetry_still_parses() {
+        // A depth-3 catalog sweep's sidecar from when expansion could
+        // shard: it carries `shards` and `merge_ms`, and `merge` and
+        // `report` must keep reading such sweep directories.
+        let text = r#"{"scenarios":180,"threads":2,"cache":{"builds":10,"hits":204,"ladder_hits":31,"disk_hits":0,"budget_misses":0},"expand":{"passes":41,"shards":41,"merge_ms":0.0,"arena_bytes_peak":2048}}"#;
+        let meta = SweepMeta::from_json(&crate::json::parse(text).unwrap()).unwrap();
+        assert_eq!((meta.scenarios, meta.threads, meta.cache.builds), (180, 2, 10));
+        assert_eq!(meta.expand, ExpandTotals { passes: 41, arena_bytes_peak: 2048 });
+        assert_eq!(SweepMeta::merged(&[meta, meta]).expand.passes, 82);
+        assert!(meta.to_string().contains("41 passes, peak arena 2048 bytes"));
     }
 
     #[test]

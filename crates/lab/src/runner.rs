@@ -59,8 +59,8 @@ pub struct SweepReport {
     pub store: ResultStore,
     /// Cache counters accumulated over the sweep.
     pub cache: CacheStats,
-    /// Expansion-engine telemetry accumulated over the sweep (shard
-    /// counts, merge time, arena footprint).
+    /// Expansion-engine telemetry accumulated over the sweep (passes,
+    /// arena footprint).
     pub expand: ExpandTotals,
     /// Number of scenarios executed.
     pub scenarios: usize,
@@ -120,17 +120,6 @@ impl SweepRunner {
     /// A runner with the default thread count (available parallelism).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Legacy knob for the worker-thread count; prefer driving sweeps
-    /// through a `Session` (its `workers` knob).
-    #[deprecated(
-        since = "0.1.0",
-        note = "drive sweeps through `Session` (see `session::Session`)"
-    )]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     pub(crate) fn workers(mut self, threads: usize) -> Self {

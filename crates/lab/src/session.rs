@@ -12,7 +12,7 @@
 //! * the shared in-memory [`SpaceCache`] (prefix spaces memoized by
 //!   *(fingerprint, domain, depth)* with depth-laddering),
 //! * the optional persistent verdict journal ([`DiskCache`]),
-//! * the scenario worker pool and the expansion-shard configuration,
+//! * the scenario worker pool and the expansion run budget,
 //!
 //! and exposes two methods: [`Session::check`] for one [`Query`] and
 //! [`Session::check_many`] for a batch. Both route through the *same*
@@ -208,8 +208,8 @@ impl Default for Session {
 }
 
 impl Session {
-    /// A session with all-default configs: serial expansion, 2·10⁶-run
-    /// budget, weak validity, in-memory memoization, no persistence.
+    /// A session with all-default configs: 2·10⁶-run budget, weak
+    /// validity, in-memory memoization, no persistence.
     pub fn new() -> Self {
         Self::with_configs(
             ExpandConfig::default(),
@@ -231,7 +231,7 @@ impl Session {
     ) -> Result<Self, Error> {
         let disk = DiskCache::from_config(&cache)?;
         Ok(Session {
-            spaces: SpaceCache::with_config(&expand),
+            spaces: SpaceCache::new(),
             expand,
             analysis,
             cache_cfg: cache,
@@ -365,7 +365,7 @@ impl Session {
         let spaces = if self.cache_cfg.memory {
             &self.spaces
         } else {
-            fresh = SpaceCache::with_config(&self.expand);
+            fresh = SpaceCache::new();
             &fresh
         };
         let report = runner.run_indexed(&scenarios, spaces, self.disk.as_ref());

@@ -174,31 +174,30 @@ fn space_sequences_equal_enumeration_on_catalog_and_spec_family() {
                 listed
             })
             .collect();
-        let serial = ExpandConfig::with_budget(BUDGET);
-        let sharded = serial.threads(2);
+        let cfg = ExpandConfig::with_budget(BUDGET);
 
         // A fresh build at every depth.
         for (d, oracle) in oracles.iter().enumerate() {
-            let space = PrefixSpace::expand(ma, VALUES, d, &serial).unwrap();
+            let space = PrefixSpace::expand(ma, VALUES, d, &cfg).unwrap();
             assert_list(&space, ma, oracle, &format!("{name}@{d} build"));
         }
-        // In-place extension, sharded, from depth 0 up.
-        let mut space = PrefixSpace::expand(ma, VALUES, 0, &serial).unwrap();
+        // In-place extension from depth 0 up.
+        let mut space = PrefixSpace::expand(ma, VALUES, 0, &cfg).unwrap();
         for (d, oracle) in oracles.iter().enumerate().skip(1) {
-            space = space.extend(ma, &sharded).unwrap();
+            space = space.extend(ma, &cfg).unwrap();
             assert_list(&space, ma, oracle, &format!("{name}@{d} extend"));
         }
         // `extend_from` rungs, each base checked again after its rung.
-        let mut base = PrefixSpace::expand(ma, VALUES, 0, &serial).unwrap();
+        let mut base = PrefixSpace::expand(ma, VALUES, 0, &cfg).unwrap();
         for (d, oracle) in oracles.iter().enumerate().skip(1) {
-            let next = base.extend_from(ma, &serial).unwrap();
+            let next = base.extend_from(ma, &cfg).unwrap();
             assert_list(&base, ma, &oracles[d - 1], &format!("{name}@{} base", d - 1));
             assert_list(&next, ma, oracle, &format!("{name}@{d} extend_from"));
             base = next;
         }
-        // Cache ladders: a sharded cache climbs from a seeded starting
-        // depth, then serves the shallower depths by building.
-        let cache = SpaceCache::with_config(&sharded);
+        // Cache ladders: a cache climbs from a seeded starting depth, then
+        // serves the shallower depths by building.
+        let cache = SpaceCache::new();
         let start = name.len() % 3;
         for d in (start..=MAX_DEPTH).chain(0..start) {
             let (space, _) = cache.space_with_meta(ma, VALUES, d, BUDGET).unwrap();

@@ -7,8 +7,8 @@
 //! Two halves:
 //!
 //! * [`trace`] — a lock-cheap [`Tracer`] with hierarchical
-//!   spans (`expand`, `shard`, `absorb`, `components`, `analysis.<kind>`,
-//!   `cache.lookup`, `journal.load`, `http.request`, …) carrying monotonic
+//!   spans (`expand`, `components`, `analysis.<kind>`, `cache.lookup`,
+//!   `journal.load`, `absorb`, `http.request`, …) carrying monotonic
 //!   timings and typed attributes, recorded into a bounded ring buffer and
 //!   drainable as JSONL. Tracing is **off by default**: the disabled path
 //!   is one relaxed atomic load plus a branch, and allocates nothing, so
@@ -24,7 +24,7 @@
 //!
 //! Spans nest automatically through a thread-local stack: a span opened
 //! while another is live on the same thread becomes its child. Work that
-//! crosses threads (sharded expansion, sweep workers) propagates the
+//! crosses threads (sweep workers, cluster dispatch) propagates the
 //! parent explicitly: capture [`Tracer::current_id`] on the spawning
 //! thread and open the child with [`Tracer::span_under`] on the worker.
 //!
@@ -33,13 +33,13 @@
 //!
 //! tracer().enable();
 //! {
-//!     let _root = tracer().span("expand");
-//!     let mut shard = tracer().span("shard");
-//!     shard.set_attr("runs", 42u64);
+//!     let _root = tracer().span("cache.lookup");
+//!     let mut expand = tracer().span("expand");
+//!     expand.set_attr("runs", 42u64);
 //! } // guards record on drop, children before parents
 //! let spans = tracer().drain();
 //! assert_eq!(spans.len(), 2);
-//! assert_eq!(spans[0].name, "shard");
+//! assert_eq!(spans[0].name, "expand");
 //! assert_eq!(spans[0].parent, Some(spans[1].id));
 //! tracer().disable();
 //! ```

@@ -50,7 +50,7 @@ mod view;
 
 pub use ptg::{fig2_example, PtGraph, PtNode};
 pub use run::{InfiniteRun, PrefixRun};
-pub use view::{LocalViews, ShardTable, ViewData, ViewId, ViewInterner, ViewTable};
+pub use view::{ViewData, ViewId, ViewTable};
 
 /// A consensus input/output value (the paper's finite domain `V_I ⊆ V_O`).
 pub type Value = u32;

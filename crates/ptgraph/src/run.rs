@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use dyngraph::{influence::InfluenceTracker, Digraph, GraphSeq, Lasso, Pid, Round};
 
-use crate::{Inputs, Value, ViewId, ViewInterner, ViewTable};
+use crate::{Inputs, Value, ViewId, ViewTable};
 
 /// A finite run: an input assignment together with a graph-sequence prefix,
 /// plus every process's interned view at every time `0 ≤ t ≤ T`.
@@ -42,18 +42,17 @@ pub struct PrefixRun {
 }
 
 impl PrefixRun {
-    /// Compute the run of `inputs` under `seq`, interning views in `table`
-    /// (the shared [`ViewTable`] or a worker's [`crate::ShardTable`]).
+    /// Compute the run of `inputs` under `seq`, interning views in `table`.
     /// Passing an `Arc` shares the caller's copy instead of moving a new
     /// one in.
     ///
     /// # Panics
     /// Panics if `inputs.len()` disagrees with `table.n()` or with the
     /// graphs of `seq`.
-    pub fn compute<T: ViewInterner>(
+    pub fn compute(
         inputs: impl Into<Arc<[Value]>>,
         seq: impl Into<Arc<GraphSeq>>,
-        table: &mut T,
+        table: &mut ViewTable,
     ) -> Self {
         let (inputs, seq) = (inputs.into(), seq.into());
         let n = table.n();
@@ -126,28 +125,13 @@ impl PrefixRun {
             .find(|&t| (0..self.n()).all(|q| table.data(self.view(q, t)).has_heard(p)))
     }
 
-    /// Remap every view id at or above `base_len` through `remap` (the
-    /// table returned by [`ViewTable::absorb`]); ids below `base_len` are
-    /// already global and stay put. The inverse bookkeeping step of
-    /// computing this run against a [`crate::ShardTable`].
-    ///
-    /// # Panics
-    /// Panics if a local id falls outside `remap`.
-    pub fn remap_views(&mut self, base_len: usize, remap: &[ViewId]) {
-        for v in &mut self.views {
-            if let Some(i) = v.index().checked_sub(base_len) {
-                *v = remap[i];
-            }
-        }
-    }
-
     /// Extend the run by one round to `seq`, this run's sequence followed
     /// by one more graph. The new run shares `seq` and this run's inputs.
     ///
     /// # Panics
     /// Panics if `seq` is not one round longer than this run's sequence,
     /// or on mismatched `n`; debug builds also check that it extends it.
-    pub fn extended<T: ViewInterner>(&self, seq: Arc<GraphSeq>, table: &mut T) -> Self {
+    pub fn extended(&self, seq: Arc<GraphSeq>, table: &mut ViewTable) -> Self {
         let n = self.n();
         assert_eq!(seq.rounds(), self.rounds() + 1, "an extension adds exactly one round");
         debug_assert!(self.seq.is_prefix_of(&seq), "{seq} does not extend {}", self.seq);
@@ -162,7 +146,7 @@ impl PrefixRun {
 
 /// Intern the views of the round with graph `g` after the last `n` views of
 /// `views`, and append them.
-fn push_round<T: ViewInterner>(views: &mut Vec<ViewId>, n: usize, g: &Digraph, table: &mut T) {
+fn push_round(views: &mut Vec<ViewId>, n: usize, g: &Digraph, table: &mut ViewTable) {
     let last = views.len() - n;
     for q in 0..n {
         let prev = &views[last..];

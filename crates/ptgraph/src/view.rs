@@ -28,9 +28,7 @@
 //! * an open-addressing index of ids, probed with a multiply-rotate hash of
 //!   the key and resolved by comparing keys against the received arena.
 //!
-//! Ids are dense and handed out in first-intern order. A [`ShardTable`]'s
-//! local extension has the same layout, so [`ViewTable::absorb`] copies its
-//! entries instead of re-deriving them.
+//! Ids are dense and handed out in first-intern order.
 
 use std::fmt;
 
@@ -117,9 +115,9 @@ impl Key<'_> {
 /// A free index slot.
 const EMPTY: u32 = u32::MAX;
 
-/// Flat view storage — a [`ViewTable`]'s views, or a [`ShardTable`]'s local
-/// extension — with its id index; see the module docs.
-#[derive(Debug, Clone)]
+/// A [`ViewTable`]'s flat view storage with its id index; see the module
+/// docs.
+#[derive(Debug, Clone, Default)]
 struct Store {
     entries: Vec<Entry>,
     received: Vec<(u8, ViewId)>,
@@ -130,10 +128,6 @@ struct Store {
 }
 
 impl Store {
-    const fn new() -> Self {
-        Store { entries: Vec::new(), received: Vec::new(), inputs: Vec::new(), slots: Vec::new() }
-    }
-
     fn len(&self) -> usize {
         self.entries.len()
     }
@@ -213,70 +207,6 @@ impl Store {
     }
 }
 
-/// The base of a [`ViewTable`]: it extends nothing.
-static NO_BASE: Store = Store::new();
-
-/// Intern the time-0 view of `p` with input `x` into `local`, which extends
-/// `base`: ids below `base.len()` are `base`'s, the rest `local`'s. The
-/// core of both [`ViewTable`] and [`ShardTable`].
-fn intern_initial_in(base: &Store, local: &mut Store, p: Pid, x: Value) -> ViewId {
-    let key = Key { p: p as u8, time: 0, head: x, received: &[] };
-    let hash = key.hash();
-    let i = match base.find(&key, hash) {
-        Some(i) => i,
-        None => {
-            base.len()
-                + local
-                    .find(&key, hash)
-                    .unwrap_or_else(|| local.push(&key, hash, mask::singleton(p), &[x]))
-        }
-    };
-    ViewId::from_index(i)
-}
-
-/// Intern a round view into `local` over `base`, as [`intern_initial_in`];
-/// `buf` is the caller's reused normalization buffer.
-fn intern_round_in(
-    base: &Store,
-    local: &mut Store,
-    buf: &mut Vec<(u8, ViewId)>,
-    p: Pid,
-    prev: ViewId,
-    received: impl IntoIterator<Item = (Pid, ViewId)>,
-) -> ViewId {
-    let locate = |id: ViewId| match id.index().checked_sub(base.len()) {
-        None => (base, id.index()),
-        Some(i) => (&*local, i),
-    };
-    let entry = |id| {
-        let (store, i) = locate(id);
-        &store.entries[i]
-    };
-    let prev_entry = entry(prev);
-    assert_eq!(usize::from(prev_entry.p), p, "prev view must belong to p");
-    let time = prev_entry.time + 1;
-    normalize(p, time, received, entry, buf);
-
-    let key = Key { p: p as u8, time, head: prev.0, received: buf };
-    let hash = key.hash();
-    if let Some(i) = base.find(&key, hash) {
-        return ViewId::from_index(i);
-    }
-    let i = match local.find(&key, hash) {
-        Some(i) => i,
-        None => {
-            let data = |id| {
-                let (store, i) = locate(id);
-                store.data(i)
-            };
-            let mut known = [0; MAX_N];
-            let heard = merge_known(data(prev), buf, data, &mut known);
-            local.push(&key, hash, heard, &known[..heard.count_ones() as usize])
-        }
-    };
-    ViewId::from_index(base.len() + i)
-}
-
 /// Normalize a received list into `buf`: skip self-deliveries, check each
 /// view's sender and time, keep the first view per sender, and sort by
 /// sender.
@@ -331,27 +261,6 @@ fn merge_known<'a>(
         *slot = by_process[q];
     }
     heard
-}
-
-/// A sink for view interning — implemented by the shared [`ViewTable`] and
-/// by per-worker [`ShardTable`]s, so run computation
-/// ([`crate::PrefixRun::compute`]) is generic over where views land.
-pub trait ViewInterner {
-    /// Number of processes.
-    fn n(&self) -> usize;
-
-    /// Intern the time-0 view of process `p` with input `x`.
-    fn intern_initial(&mut self, p: Pid, x: Value) -> ViewId;
-
-    /// Intern the round-`t` view of `p` from its previous view and the
-    /// received `(sender, sender's previous view)` pairs; see
-    /// [`ViewTable::intern_round`].
-    fn intern_round(
-        &mut self,
-        p: Pid,
-        prev: ViewId,
-        received: impl IntoIterator<Item = (Pid, ViewId)>,
-    ) -> ViewId;
 }
 
 /// Metadata of an interned view, borrowed from its table.
@@ -441,7 +350,7 @@ impl ViewTable {
     /// Panics if `n == 0` or `n > dyngraph::MAX_N`.
     pub fn new(n: usize) -> Self {
         assert!((1..=MAX_N).contains(&n));
-        ViewTable { n, store: Store::new(), buf: Vec::new() }
+        ViewTable { n, store: Store::default(), buf: Vec::new() }
     }
 
     /// Number of processes.
@@ -465,7 +374,13 @@ impl ViewTable {
     /// Panics if `p ≥ n`.
     pub fn intern_initial(&mut self, p: Pid, x: Value) -> ViewId {
         assert!(p < self.n);
-        intern_initial_in(&NO_BASE, &mut self.store, p, x)
+        let key = Key { p: p as u8, time: 0, head: x, received: &[] };
+        let hash = key.hash();
+        let i = self
+            .store
+            .find(&key, hash)
+            .unwrap_or_else(|| self.store.push(&key, hash, mask::singleton(p), &[x]));
+        ViewId::from_index(i)
     }
 
     /// Intern the round-`t` view of process `p` from its previous view and
@@ -484,7 +399,24 @@ impl ViewTable {
         prev: ViewId,
         received: impl IntoIterator<Item = (Pid, ViewId)>,
     ) -> ViewId {
-        intern_round_in(&NO_BASE, &mut self.store, &mut self.buf, p, prev, received)
+        let store = &mut self.store;
+        let prev_entry = &store.entries[prev.index()];
+        assert_eq!(usize::from(prev_entry.p), p, "prev view must belong to p");
+        let time = prev_entry.time + 1;
+        normalize(p, time, received, |id| &store.entries[id.index()], &mut self.buf);
+
+        let key = Key { p: p as u8, time, head: prev.0, received: &self.buf };
+        let hash = key.hash();
+        let i = match store.find(&key, hash) {
+            Some(i) => i,
+            None => {
+                let data = |id: ViewId| store.data(id.index());
+                let mut known = [0; MAX_N];
+                let heard = merge_known(data(prev), &self.buf, data, &mut known);
+                store.push(&key, hash, heard, &known[..heard.count_ones() as usize])
+            }
+        };
+        ViewId::from_index(i)
     }
 
     /// Metadata of an interned view.
@@ -507,53 +439,6 @@ impl ViewTable {
         (e.time > 0).then_some(ViewId(e.head))
     }
 
-    /// Merge a worker shard's local views into this table, in the shard's
-    /// local insertion order, and return the remap `local index → global
-    /// id`. The shard must have been built over a prefix of this table
-    /// (`local.base_len() ≤ self.len()`); base ids are stable because the
-    /// table only ever appends.
-    ///
-    /// Absorbing the shards of a canonically-chunked parallel expansion in
-    /// chunk order reproduces *exactly* the [`ViewId`] assignment of the
-    /// serial pass: a view's first global occurrence is in the earliest
-    /// chunk containing it, at its first position within that chunk — the
-    /// same order in which a serial sweep over the chunks' runs would have
-    /// interned it.
-    ///
-    /// # Panics
-    /// Panics if the shard was built for a different `n` or over a longer
-    /// base than this table.
-    pub fn absorb(&mut self, local: &LocalViews) -> Vec<ViewId> {
-        assert_eq!(local.n, self.n, "shard and table disagree on n");
-        assert!(local.base_len <= self.len(), "shard base is not a prefix of this table");
-        let mut remap: Vec<ViewId> = Vec::with_capacity(local.len());
-        for i in 0..local.len() {
-            let key = local.store.key(i);
-            let global = |id: ViewId| match id.index().checked_sub(local.base_len) {
-                None => id,
-                Some(j) => remap[j],
-            };
-            let head = if key.time == 0 {
-                key.head
-            } else {
-                global(ViewId(key.head)).0
-            };
-            self.buf.clear();
-            self.buf.extend(key.received.iter().map(|&(q, v)| (q, global(v))));
-            let key = Key { head, received: &self.buf, ..key };
-            let hash = key.hash();
-            let id = match self.store.find(&key, hash) {
-                Some(id) => id,
-                None => {
-                    let d = local.store.data(i);
-                    self.store.push(&key, hash, d.heard, d.known)
-                }
-            };
-            remap.push(ViewId::from_index(id));
-        }
-        remap
-    }
-
     /// Render a view as a nested term, e.g. `p0[p0(x=1) | p1(x=0)←p1]`.
     pub fn render(&self, id: ViewId) -> String {
         let key = self.store.key(id.index());
@@ -566,104 +451,6 @@ impl ViewTable {
         }
         s.push(']');
         s
-    }
-}
-
-impl ViewInterner for ViewTable {
-    fn n(&self) -> usize {
-        ViewTable::n(self)
-    }
-
-    fn intern_initial(&mut self, p: Pid, x: Value) -> ViewId {
-        ViewTable::intern_initial(self, p, x)
-    }
-
-    fn intern_round(
-        &mut self,
-        p: Pid,
-        prev: ViewId,
-        received: impl IntoIterator<Item = (Pid, ViewId)>,
-    ) -> ViewId {
-        ViewTable::intern_round(self, p, prev, received)
-    }
-}
-
-/// A per-worker view interner layered over an immutable base [`ViewTable`].
-///
-/// Ids below `base.len()` resolve in the base; new views land in a local
-/// extension with ids continuing from `base.len()`, stored in the table's
-/// own layout. Workers of a parallel expansion each build one shard against
-/// the shared base, then the shards are [`ViewTable::absorb`]ed into the
-/// base in canonical chunk order — reproducing the serial interning order
-/// without any locking on the hot path.
-#[derive(Debug)]
-pub struct ShardTable<'a> {
-    base: &'a ViewTable,
-    local: Store,
-    buf: Vec<(u8, ViewId)>,
-}
-
-impl<'a> ShardTable<'a> {
-    /// A fresh shard over `base`.
-    pub fn new(base: &'a ViewTable) -> Self {
-        ShardTable { base, local: Store::new(), buf: Vec::new() }
-    }
-
-    /// Number of views interned locally (excluding the base).
-    pub fn local_len(&self) -> usize {
-        self.local.len()
-    }
-
-    /// Detach the local extension for [`ViewTable::absorb`], releasing the
-    /// borrow on the base.
-    pub fn into_local(self) -> LocalViews {
-        LocalViews { n: self.base.n, base_len: self.base.len(), store: self.local }
-    }
-}
-
-impl ViewInterner for ShardTable<'_> {
-    fn n(&self) -> usize {
-        self.base.n
-    }
-
-    fn intern_initial(&mut self, p: Pid, x: Value) -> ViewId {
-        assert!(p < self.base.n);
-        intern_initial_in(&self.base.store, &mut self.local, p, x)
-    }
-
-    fn intern_round(
-        &mut self,
-        p: Pid,
-        prev: ViewId,
-        received: impl IntoIterator<Item = (Pid, ViewId)>,
-    ) -> ViewId {
-        intern_round_in(&self.base.store, &mut self.local, &mut self.buf, p, prev, received)
-    }
-}
-
-/// The detached local extension of a [`ShardTable`], ready to be
-/// [`ViewTable::absorb`]ed. Views are in local insertion order.
-#[derive(Debug)]
-pub struct LocalViews {
-    n: usize,
-    base_len: usize,
-    store: Store,
-}
-
-impl LocalViews {
-    /// The base-table length this shard extended — ids below it are global.
-    pub fn base_len(&self) -> usize {
-        self.base_len
-    }
-
-    /// Number of locally interned views.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether the shard interned nothing new.
-    pub fn is_empty(&self) -> bool {
-        self.store.entries.is_empty()
     }
 }
 
@@ -769,95 +556,6 @@ mod tests {
         let w0 = t.intern_initial(1, 0);
         let r = t.intern_round(0, v0, [(1, w0)]);
         assert_eq!(t.render(r), "p0[p0(x=1) | p1(x=0)←p1]");
-    }
-
-    #[test]
-    fn shard_over_empty_base_replays_serially() {
-        // Interning the same views serially and via a shard+absorb must
-        // assign identical ids.
-        let mut serial = ViewTable::new(2);
-        let a0 = serial.intern_initial(0, 0);
-        let b0 = serial.intern_initial(1, 1);
-        let a1 = serial.intern_round(0, a0, [(1, b0)]);
-
-        let mut base = ViewTable::new(2);
-        let mut shard = ShardTable::new(&base);
-        let sa0 = ViewInterner::intern_initial(&mut shard, 0, 0);
-        let sb0 = ViewInterner::intern_initial(&mut shard, 1, 1);
-        let sa1 = ViewInterner::intern_round(&mut shard, 0, sa0, [(1, sb0)]);
-        let local = shard.into_local();
-        let remap = base.absorb(&local);
-        assert_eq!(remap[sa0.index()], a0);
-        assert_eq!(remap[sb0.index()], b0);
-        assert_eq!(remap[sa1.index()], a1);
-        assert_eq!(base, serial);
-    }
-
-    #[test]
-    fn shard_deduplicates_against_base_and_absorb_remaps() {
-        let mut base = ViewTable::new(2);
-        let a0 = base.intern_initial(0, 0);
-        let b0 = base.intern_initial(1, 1);
-        let known = base.intern_round(0, a0, []);
-        let base_len = base.len();
-
-        let mut shard = ShardTable::new(&base);
-        // Already in the base: resolved there, nothing interned locally.
-        assert_eq!(ViewInterner::intern_initial(&mut shard, 0, 0), a0);
-        assert_eq!(ViewInterner::intern_round(&mut shard, 0, a0, []), known);
-        assert_eq!(shard.local_len(), 0);
-        // New: local ids continue from the base length.
-        let fresh = ViewInterner::intern_round(&mut shard, 0, a0, [(1, b0)]);
-        assert_eq!(fresh.index(), base_len);
-        let local = shard.into_local();
-        assert_eq!(local.len(), 1);
-        assert_eq!(local.base_len(), base_len);
-
-        let remap = base.absorb(&local);
-        assert_eq!(remap.len(), 1);
-        assert_eq!(remap[0].index(), base_len);
-        assert_eq!(base.data(remap[0]).heard, 0b011);
-    }
-
-    #[test]
-    fn absorb_two_shards_first_chunk_wins() {
-        // Both shards intern the same new view; after absorbing in chunk
-        // order both remap to the id the first chunk created.
-        let mut base = ViewTable::new(2);
-        let a0 = base.intern_initial(0, 0);
-        let s1 = {
-            let mut shard = ShardTable::new(&base);
-            ViewInterner::intern_round(&mut shard, 0, a0, []);
-            shard.into_local()
-        };
-        let s2 = {
-            let mut shard = ShardTable::new(&base);
-            ViewInterner::intern_round(&mut shard, 0, a0, []);
-            shard.into_local()
-        };
-        let r1 = base.absorb(&s1);
-        let r2 = base.absorb(&s2);
-        assert_eq!(r1, r2);
-        assert_eq!(base.len(), 2);
-    }
-
-    #[test]
-    fn run_remap_after_shard_compute_matches_direct() {
-        use crate::PrefixRun;
-        use dyngraph::GraphSeq;
-        let seq = GraphSeq::parse2("-> <-").unwrap();
-
-        let mut serial = ViewTable::new(2);
-        let direct = PrefixRun::compute(vec![0, 1], seq.clone(), &mut serial);
-
-        let mut base = ViewTable::new(2);
-        let mut shard = ShardTable::new(&base);
-        let mut run = PrefixRun::compute(vec![0, 1], seq, &mut shard);
-        let local = shard.into_local();
-        let remap = base.absorb(&local);
-        run.remap_views(local.base_len(), &remap);
-        assert_eq!(base, serial);
-        assert_eq!(run, direct);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! * every call returns the oracle's id, and at the end `len`, `data`,
 //!   `prev`, `received` and `render` agree for every view;
 //! * a clone equals its source and keeps interning identically;
-//! * [`ShardTable`] chunks absorbed in chunk order reproduce the serial
-//!   table and its ids;
 //! * the index tells every two views apart: distinct keys have distinct
 //!   hashes, and the key comparison separates views that share owner and
 //!   `prev`.
@@ -276,84 +274,6 @@ fn assert_index_separates(table: &ViewTable) {
     }
 }
 
-/// Re-intern `v` of `src` into `sink`, its history first; `memo` maps ids
-/// of `src` to ids of `sink`.
-fn derive<T: ViewInterner>(
-    src: &ViewTable,
-    v: ViewId,
-    sink: &mut T,
-    memo: &mut HashMap<ViewId, ViewId>,
-) -> ViewId {
-    if let Some(&w) = memo.get(&v) {
-        return w;
-    }
-    let d = src.data(v);
-    let w = match src.prev(v) {
-        None => sink.intern_initial(d.process, d.own_input()),
-        Some(prev) => {
-            let prev = derive(src, prev, sink, memo);
-            let received: Vec<(Pid, ViewId)> = src
-                .received(v)
-                .iter()
-                .map(|&(q, r)| (usize::from(q), derive(src, r, sink, memo)))
-                .collect();
-            sink.intern_round(d.process, prev, received)
-        }
-    };
-    memo.insert(v, w);
-    w
-}
-
-/// Replay `calls` (ids of `src`) into `sink`, deriving each referenced view
-/// first, as a worker computing whole runs would.
-fn replay<T: ViewInterner>(src: &ViewTable, calls: &[Call], sink: &mut T) -> Vec<ViewId> {
-    let mut memo = HashMap::new();
-    calls
-        .iter()
-        .map(|call| match call {
-            Call::Initial(p, x) => sink.intern_initial(*p, *x),
-            Call::Round(p, prev, received) => {
-                let prev = derive(src, *prev, sink, &mut memo);
-                let received: Vec<(Pid, ViewId)> =
-                    received.iter().map(|&(q, r)| (q, derive(src, r, sink, &mut memo))).collect();
-                sink.intern_round(*p, prev, received)
-            }
-        })
-        .collect()
-}
-
-/// Shards over a base holding the first third of the stream, one per chunk
-/// of the rest, absorbed in chunk order, give the serial table and ids.
-fn assert_shards_reproduce_serial(stream: &Stream, chunks: usize) {
-    let src = &stream.table;
-    let (head, rest) = stream.log.split_at(stream.log.len() / 3);
-    let mut base = ViewTable::new(stream.n);
-    replay(src, head, &mut base);
-    let base_len = base.len();
-    let mut serial = base.clone();
-
-    let cut = |c: usize| c * rest.len() / chunks;
-    let parts: Vec<&[Call]> = (0..chunks).map(|c| &rest[cut(c)..cut(c + 1)]).collect();
-    let shards: Vec<(Vec<ViewId>, LocalViews)> = parts
-        .iter()
-        .map(|part| {
-            let mut shard = ShardTable::new(&base);
-            let ids = replay(src, part, &mut shard);
-            (ids, shard.into_local())
-        })
-        .collect();
-    for (part, (ids, local)) in parts.iter().zip(shards) {
-        let expected = replay(src, part, &mut serial);
-        let remap = base.absorb(&local);
-        let global: Vec<ViewId> = ids
-            .iter()
-            .map(|&v| v.index().checked_sub(base_len).map_or(v, |i| remap[i]))
-            .collect();
-        assert_eq!(global, expected, "n={}: absorbed ids", stream.n);
-    }
-    assert!(base == serial, "n={}: absorbed table differs from the serial one", stream.n);
-}
-
 #[test]
 fn flat_interner_matches_hashmap_oracle() {
     let mut rng = Rng(0x1a7e_5eed_f1a7_0001);
@@ -386,8 +306,6 @@ fn flat_interner_matches_hashmap_oracle() {
             }
             assert!(copy == stream.table, "n={n}: clone diverged");
             stream.assert_matches_oracle();
-
-            assert_shards_reproduce_serial(&stream, 1 + rng.below(4));
         }
     }
     assert!(hits > 1000, "streams should revisit known views; {hits} hits");

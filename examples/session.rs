@@ -15,14 +15,13 @@ use examples_support::section;
 fn main() {
     section("One session, typed configs, every cache owned once");
     let session = Session::with_configs(
-        ExpandConfig::new().threads(2).max_runs(2_000_000),
+        ExpandConfig::with_budget(2_000_000),
         AnalysisConfig::new().max_depth(4),
         CacheConfig::default(),
     )
     .expect("no disk cache configured");
     println!(
-        "expansion: {} worker(s), {}-run budget; validity: {}",
-        session.expand_config().effective_threads(),
+        "expansion: {}-run budget; validity: {}",
         session.expand_config().max_runs,
         if session.analysis_config().strong_validity {
             "strong"

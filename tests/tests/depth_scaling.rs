@@ -7,7 +7,7 @@ use consensus_core::config::ExpandConfig;
 use consensus_core::{fair, PrefixSpace};
 use dyngraph::generators;
 
-const CFG: ExpandConfig = ExpandConfig { threads: 1, max_runs: 5_000_000 };
+const CFG: ExpandConfig = ExpandConfig { max_runs: 5_000_000 };
 
 /// Separation is monotone once reached: if the valence classes are
 /// separated at depth `t`, they stay separated at `t + 1` (components

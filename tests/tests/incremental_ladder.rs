@@ -15,7 +15,7 @@ use consensus_lab::store::TIMING_FIELDS;
 const MAX_DEPTH: usize = 4;
 const BUDGET: usize = 2_000_000;
 const VALUES: &[ptgraph::Value] = &[0, 1];
-const CFG: ExpandConfig = ExpandConfig { threads: 1, max_runs: BUDGET };
+const CFG: ExpandConfig = ExpandConfig { max_runs: BUDGET };
 
 /// Laddered spaces match from-scratch builds exactly: same stats, same
 /// separation verdict, same run enumeration order, for every catalog entry
@@ -27,7 +27,7 @@ fn laddered_spaces_match_scratch_builds_across_catalog() {
         let mut laddered = PrefixSpace::expand(&ma, VALUES, 0, &CFG)
             .unwrap_or_else(|e| panic!("{}: depth-0 build failed: {e}", entry.name));
         for depth in 1..=MAX_DEPTH {
-            // `extended_from` leaves the ancestor intact (the cache's leg);
+            // `extend_from` leaves the ancestor intact (the cache's leg);
             // use it for the step so both seams are exercised.
             laddered = laddered
                 .extend_from(&ma, &CFG)
@@ -58,6 +58,32 @@ fn laddered_spaces_match_scratch_builds_across_catalog() {
             for (a, b) in laddered.runs().iter().zip(scratch.runs()) {
                 assert_eq!(a.inputs(), b.inputs(), "{}@{depth}", entry.name);
                 assert_eq!(a.seq(), b.seq(), "{}@{depth}", entry.name);
+            }
+        }
+    }
+}
+
+/// Each sequence and each input assignment is stored once: every run
+/// points at the same sequence allocation as the run over that sequence
+/// under the first input assignment, and at the same inputs as the first
+/// run of its assignment. This holds after a build, an in-place extension
+/// and a ladder rung.
+#[test]
+fn runs_share_sequences_and_inputs() {
+    for entry in catalog::entries() {
+        let ma = entry.build();
+        let built = PrefixSpace::expand(&ma, VALUES, 2, &CFG).unwrap();
+        let shallow = PrefixSpace::expand(&ma, VALUES, 1, &CFG).unwrap();
+        let extended = shallow.extend(&ma, &CFG).unwrap();
+        let laddered = built.extend_from(&ma, &CFG).unwrap();
+        for (how, space) in [("build", &built), ("extend", &extended), ("rung", &laddered)] {
+            let (runs, k) = (space.runs(), space.sequence_count());
+            let at = format!("{}@{} {how}", entry.name, space.depth());
+            assert!(runs.len() > k, "{at}: a single input assignment shares nothing");
+            for (i, run) in runs.iter().enumerate() {
+                assert!(std::ptr::eq(run.seq(), runs[i % k].seq()), "{at}: run {i} sequence");
+                let first = &runs[i - i % k];
+                assert!(std::ptr::eq(run.inputs(), first.inputs()), "{at}: run {i} inputs");
             }
         }
     }
