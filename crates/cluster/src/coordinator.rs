@@ -405,7 +405,7 @@ impl TraceHarvest {
 
     /// Drain each listed worker's span ring past this harvest's cursor.
     /// Workers reporting this process's own trace id are skipped: an
-    /// in-process fleet (tests, `cluster-bench`) shares the local ring,
+    /// in-process fleet (tests, the benchmark) shares the local ring,
     /// so its spans are already home and need no stitching.
     fn poll(&mut self, cfg: &ClusterConfig, workers: &[usize], alive: &[bool]) {
         if !tracer().is_enabled() {

@@ -33,8 +33,7 @@ impl std::fmt::Debug for EventSink {
 
 impl EventSink {
     /// Wrap a writer (a file opened for `--events-out`, or
-    /// [`std::io::sink`] when only the count matters, as in
-    /// `cluster-bench`).
+    /// [`std::io::sink`] when only the count matters).
     pub fn new(out: Box<dyn Write + Send>) -> EventSink {
         EventSink { out: Mutex::new(out), emitted: AtomicUsize::new(0) }
     }

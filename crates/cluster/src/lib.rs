@@ -25,20 +25,15 @@
 //! * [`warm`] — peer warm-start: a cold worker pulls a live peer's
 //!   verdict journal via `GET /v1/journal/segment` and absorbs it
 //!   through the persist layer's salt check (memory → disk → peer
-//!   cache tiering);
-//! * [`mod@bench`] — the `cluster-bench` harness emitting
-//!   `BENCH_cluster.json` (serial vs 2-worker wall clock plus the
-//!   robustness/audit counters, gated in CI).
+//!   cache tiering).
 //!
 //! The `consensus-lab` CLI binary lives in this crate (`src/main.rs`)
-//! because the coordinator depends on the service layer: `cluster` and
-//! `cluster-bench` are its fleet-facing subcommands, and `serve` gains
-//! `--warm-from PEER`.
+//! because the coordinator depends on the service layer: `cluster` is
+//! its fleet-facing subcommand, and `serve` gains `--warm-from PEER`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod coordinator;
 pub mod events;
 pub mod spotcheck;

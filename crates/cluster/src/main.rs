@@ -10,9 +10,8 @@
 //!                     [--analyses solvability,bivalence] [--budget 2000000] [--repeat 2]
 //! consensus-lab report --input lab-results/results.jsonl
 //! consensus-lab serve --addr 127.0.0.1:7171 [--threads 8] [--cache-dir DIR]
-//! consensus-lab serve-bench --connections 4 --out BENCH_serve.json
 //! consensus-lab cluster --workers 127.0.0.1:7181,127.0.0.1:7182 --max-depth 3 --out cluster-results
-//! consensus-lab cluster-bench --out BENCH_cluster.json
+//! consensus-lab bench-gate --baseline BENCH_expand-d6.json --fresh fresh.json --keys expand.ms
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
@@ -21,7 +20,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use consensus_cluster::bench::{self as cluster_bench, ClusterBenchConfig};
 use consensus_cluster::coordinator::{self, ClusterConfig};
 use consensus_cluster::events::EventSink;
 use consensus_lab::report::{Aggregate, SweepMeta, SWEEP_META_FILE};
@@ -34,7 +32,6 @@ use consensus_lab::store::{
 use consensus_lab::{AnalysisConfig, CacheConfig, Error, ExpandConfig};
 use consensus_obs::trace::tracer;
 use consensus_serve::api::App;
-use consensus_serve::loadgen::{self, LoadGenConfig};
 use consensus_serve::server::{ServeConfig, Server};
 
 const USAGE: &str = "\
@@ -117,12 +114,15 @@ USAGE:
         within their parents. Prints {\"spans\":N,\"roots\":M,\"ok\":true};
         exit 1 on the first violation.
 
-    consensus-lab bench-gate --baseline BENCH.json --fresh BENCH.json
-                             [--max-regression PCT] [--keys K1,K2] [--exact K1,K2]
-        Compare a freshly measured bench datum against the committed
-        baseline: timing keys (*_ms, or --keys) may regress at most PCT
-        percent (default 25); --exact keys must match to the digit.
-        Exit 1 on any regression.
+    consensus-lab bench-gate --baseline BENCH.json --fresh FRESH.json
+                             [--max-regression PCT] [--keys M1,M2]
+        Compare the result line of a fresh traced benchmark run
+        (`perfbench/run.py --trace 1`) against a committed baseline
+        (BENCH_stats-d5.json, BENCH_expand-d6.json). The fresh line must
+        be \"correct\": true with \"failed\": 0. Every baseline metric in
+        unit `count` must match to the digit; the timing metrics named by
+        --keys may regress at most PCT percent (default 25). Exit 1 on
+        any regression.
 
     consensus-lab serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR]
                         [--budget RUNS] [--warm-from HOST:PORT]
@@ -154,17 +154,6 @@ USAGE:
                            it into this worker's --cache-dir journal
                            (required), through the same salt check that
                            guards a local journal
-
-    consensus-lab serve-bench [--addr HOST:PORT] [--connections N] [--requests M]
-                              [--max-depth D] [--analyses K1,K2] [--threads N]
-                              [--out FILE] [--records DIR] [--assert-warm]
-        Load-generate against a server (or a self-spawned in-process one
-        when --addr is absent): a sequential cold /v1/check pass over the
-        catalog × depth × analysis grid, one /v1/sweep, then N connections
-        × M requests warm. Prints the bench datum; --out writes it
-        (BENCH_serve.json), --records DIR writes the swept records as
-        DIR/results.jsonl for diffing against `consensus-lab sweep`,
-        --assert-warm exits nonzero if the warm pass expanded anything.
 
     consensus-lab cluster --workers HOST:PORT[,HOST:PORT...]
                           [--spec TERM] [--max-depth D] [--analyses K1,K2]
@@ -198,15 +187,6 @@ USAGE:
         per-worker request totals plus the workers' counters summed and
         their latency histograms merged bucket-wise.
 
-    consensus-lab cluster-bench [--max-depth D] [--analyses K1,K2]
-                                [--spot-check PCT] [--threads N] [--out FILE]
-        Benchmark the coordinator against 2 self-spawned in-process
-        workers: serial vs cluster wall clock (untraced and traced),
-        retry/rebalance/audit counters, lifecycle-event and stitched-span
-        tallies, peer warm-start segment size, and a record-identity
-        bit. Prints the bench datum; --out writes it
-        (BENCH_cluster.json).
-
 ANALYSES: solvability, bivalence, broadcastability, component-stats, sim-check
 ";
 
@@ -223,9 +203,7 @@ fn main() -> ExitCode {
         Some("trace-check") => cmd_trace_check(&args[1..]),
         Some("bench-gate") => cmd_bench_gate(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("serve-bench") => cmd_serve_bench(&args[1..]),
         Some("cluster") => cmd_cluster(&args[1..]),
-        Some("cluster-bench") => cmd_cluster_bench(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -1074,32 +1052,28 @@ fn cmd_bench_gate(args: &[String]) -> ExitCode {
         Ok(f) => f,
         Err(e) => return fail(&e),
     };
-    if let Err(e) = flags.reject_unknown(&["baseline", "fresh", "max-regression", "keys", "exact"])
-    {
+    if let Err(e) = flags.reject_unknown(&["baseline", "fresh", "max-regression", "keys"]) {
         return fail(&e);
     }
     let (Some(baseline_path), Some(fresh_path)) = (flags.get("baseline"), flags.get("fresh"))
     else {
-        return fail("bench-gate needs --baseline BENCH.json --fresh BENCH.json");
+        return fail("bench-gate needs --baseline BENCH.json --fresh FRESH.json");
     };
-    for key_flag in ["keys", "exact"] {
-        if flags.has(key_flag) && flags.get(key_flag).is_none() {
-            return fail(&format!("--{key_flag} expects a comma-separated key list"));
-        }
+    if flags.has("keys") && flags.get("keys").is_none() {
+        return fail("--keys expects a comma-separated metric list");
     }
     let tolerance = match flags.get_usize("max-regression", 25) {
         Ok(pct) => pct as f64,
         Err(e) => return fail(&e),
     };
-    let split = |list: &str| -> Vec<String> {
-        list.split(',')
-            .map(str::trim)
-            .filter(|k| !k.is_empty())
-            .map(String::from)
-            .collect()
-    };
-    let keys = flags.get("keys").map(split);
-    let exact = flags.get("exact").map(split).unwrap_or_default();
+    let keys: Vec<String> = flags
+        .get("keys")
+        .unwrap_or_default()
+        .split(',')
+        .map(str::trim)
+        .filter(|k| !k.is_empty())
+        .map(String::from)
+        .collect();
     let load = |path: &str| -> Result<consensus_lab::json::Value, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         consensus_lab::json::parse(&text).map_err(|e| format!("{path}: {e}"))
@@ -1112,7 +1086,7 @@ fn cmd_bench_gate(args: &[String]) -> ExitCode {
         Ok(v) => v,
         Err(e) => return fail(&e),
     };
-    match consensus_lab::gate::compare(&baseline, &fresh, tolerance, keys.as_deref(), &exact) {
+    match consensus_lab::gate::compare(&baseline, &fresh, tolerance, &keys) {
         Ok(report) => {
             emit(format_args!("{report}"));
             if report.passed() {
@@ -1252,75 +1226,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         });
     }
     server.wait();
-    ExitCode::SUCCESS
-}
-
-fn cmd_serve_bench(args: &[String]) -> ExitCode {
-    let flags = match Flags::parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    if let Err(e) = flags.reject_unknown(&[
-        "addr",
-        "connections",
-        "requests",
-        "max-depth",
-        "analyses",
-        "threads",
-        "out",
-        "records",
-        "assert-warm",
-    ]) {
-        return fail(&e);
-    }
-    for needs_value in ["addr", "out", "records"] {
-        if flags.has(needs_value) && flags.get(needs_value).is_none() {
-            return fail(&format!("--{needs_value} expects a value"));
-        }
-    }
-    let mut cfg = LoadGenConfig {
-        addr: flags.get("addr").map(String::from),
-        assert_warm: flags.has("assert-warm"),
-        ..LoadGenConfig::default()
-    };
-    for (flag, slot) in [
-        ("connections", &mut cfg.connections as &mut usize),
-        ("requests", &mut cfg.requests),
-        ("max-depth", &mut cfg.max_depth),
-        ("threads", &mut cfg.server_threads),
-    ] {
-        match flags.get_usize(flag, *slot) {
-            Ok(value) => *slot = value,
-            Err(e) => return fail(&e),
-        }
-    }
-    match parse_analyses(&flags) {
-        Ok(kinds) => cfg.analyses = kinds,
-        Err(e) => return fail(&e),
-    }
-    let report = match loadgen::run(&cfg) {
-        Ok(report) => report,
-        Err(e) => return fail(&e),
-    };
-    emit(format_args!("[serve-bench] {}", report.summary));
-    emit(format_args!("{}", report.datum));
-    if let Some(dir) = flags.get("records") {
-        let dir = PathBuf::from(dir);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            return fail(&format!("creating {}: {e}", dir.display()));
-        }
-        let path = dir.join("results.jsonl");
-        if let Err(e) = std::fs::write(&path, &report.records_jsonl) {
-            return fail(&format!("writing {}: {e}", path.display()));
-        }
-        emit(format_args!("wrote {}", path.display()));
-    }
-    if let Some(out) = flags.get("out") {
-        if let Err(e) = std::fs::write(out, format!("{}\n", report.datum)) {
-            return fail(&format!("writing {out}: {e}"));
-        }
-        emit(format_args!("wrote {out}"));
-    }
     ExitCode::SUCCESS
 }
 
@@ -1555,48 +1460,6 @@ fn cmd_cluster(args: &[String]) -> ExitCode {
             outcome.spot_check_failures.len(),
             stats.spot_checks
         ));
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_cluster_bench(args: &[String]) -> ExitCode {
-    let flags = match Flags::parse(args) {
-        Ok(f) => f,
-        Err(e) => return fail(&e),
-    };
-    if let Err(e) = flags.reject_unknown(&["max-depth", "analyses", "spot-check", "threads", "out"])
-    {
-        return fail(&e);
-    }
-    if flags.has("out") && flags.get("out").is_none() {
-        return fail("--out expects a file path");
-    }
-    let mut cfg = ClusterBenchConfig::default();
-    for (flag, slot) in [
-        ("max-depth", &mut cfg.max_depth as &mut usize),
-        ("spot-check", &mut cfg.spot_check_pct),
-        ("threads", &mut cfg.server_threads),
-    ] {
-        match flags.get_usize(flag, *slot) {
-            Ok(value) => *slot = value,
-            Err(e) => return fail(&e),
-        }
-    }
-    match parse_analyses(&flags) {
-        Ok(kinds) => cfg.analyses = kinds,
-        Err(e) => return fail(&e),
-    }
-    let report = match cluster_bench::run(&cfg) {
-        Ok(report) => report,
-        Err(e) => return fail(&e),
-    };
-    emit(format_args!("[cluster-bench] {}", report.summary));
-    emit(format_args!("{}", report.datum));
-    if let Some(out) = flags.get("out") {
-        if let Err(e) = std::fs::write(out, format!("{}\n", report.datum)) {
-            return fail(&format!("writing {out}: {e}"));
-        }
-        emit(format_args!("wrote {out}"));
     }
     ExitCode::SUCCESS
 }

@@ -1,43 +1,53 @@
-//! The bench-regression gate (`consensus-lab bench-gate`).
+//! The benchmark regression gate (`consensus-lab bench-gate`).
 //!
-//! CI re-runs the benches and compares the fresh `BENCH_*.json` datum
-//! against the committed baseline: wall-clock keys (`*_ms`) may regress up
-//! to a tolerance, structural counters named `--exact` must match to the
-//! digit (a drifted run/view/expansion count is a determinism bug, not
-//! noise). The gate reads only the top-level numeric fields of the datum
-//! object — nested per-depth arrays are context for humans.
+//! The baseline and the fresh datum are each the result line of one
+//! traced benchmark run (`perfbench/run.py --trace 1`):
+//! `{"correct":…,"attempted":…,"failed":…,"metrics":{NAME:{"value":…,"unit":…},…}}`.
+//! The committed baselines are `BENCH_<workload>.json` at the repository
+//! root.
+//!
+//! A fresh line whose answers were not all correct is refused before any
+//! metric is read: a fast wrong answer is not a measurement. The unit
+//! says how a metric is judged. Every baseline metric whose unit is `count`
+//! must match to the digit, because the seeded workload fixes runs,
+//! views, cache builds and requests: a drifted count is a determinism
+//! bug, not noise. The timing metrics named by `--keys` may regress up
+//! to a tolerance.
 
 use std::fmt;
 
 use crate::json::Value;
 
-/// How one key is judged.
+/// How one metric is judged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateKind {
-    /// Wall-clock: fresh may exceed baseline by at most the tolerance.
+    /// Timing: fresh may exceed baseline by at most the tolerance.
     Timing,
-    /// Structural counter: fresh must equal baseline exactly.
+    /// A `count` metric: fresh must equal baseline exactly.
     Exact,
 }
 
-/// The judgement of one compared key.
+/// The judgement of one compared metric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateLine {
-    /// The JSON key compared.
+    /// The metric name.
     pub key: String,
+    /// The metric's unit, as the baseline states it.
+    pub unit: String,
     /// Baseline value.
     pub baseline: f64,
     /// Freshly measured value.
     pub fresh: f64,
     /// Judgement rule applied.
     pub kind: GateKind,
-    /// Whether the key passed.
+    /// Whether the metric passed.
     pub ok: bool,
 }
 
 impl fmt::Display for GateLine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let verdict = if self.ok { "ok" } else { "FAIL" };
+        let (key, unit) = (&self.key, &self.unit);
         match self.kind {
             GateKind::Timing => {
                 let ratio = if self.baseline > 0.0 {
@@ -47,16 +57,14 @@ impl fmt::Display for GateLine {
                 };
                 write!(
                     f,
-                    "{verdict:<4} {key:<28} {base:>12.3} → {fresh:>12.3} ms ({ratio})",
-                    key = self.key,
+                    "{verdict:<4} {key:<28} {base:>12.3} → {fresh:>12.3} {unit:<5} ({ratio})",
                     base = self.baseline,
                     fresh = self.fresh,
                 )
             }
             GateKind::Exact => write!(
                 f,
-                "{verdict:<4} {key:<28} {base:>12} → {fresh:>12} (exact)",
-                key = self.key,
+                "{verdict:<4} {key:<28} {base:>12} → {fresh:>12} {unit:<5} (exact)",
                 base = self.baseline,
                 fresh = self.fresh,
             ),
@@ -67,19 +75,20 @@ impl fmt::Display for GateLine {
 /// The full gate outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateReport {
-    /// Per-key judgements, in baseline key order.
+    /// Per-metric judgements: the `--keys` timings in the order given,
+    /// then the baseline's `count` metrics in baseline order.
     pub lines: Vec<GateLine>,
-    /// The tolerance applied to timing keys, in percent.
+    /// The tolerance applied to timing metrics, in percent.
     pub tolerance_pct: f64,
 }
 
 impl GateReport {
-    /// Keys that failed.
+    /// Metrics that failed.
     pub fn failures(&self) -> Vec<&GateLine> {
         self.lines.iter().filter(|l| !l.ok).collect()
     }
 
-    /// Whether every key passed.
+    /// Whether every metric passed.
     pub fn passed(&self) -> bool {
         self.lines.iter().all(|l| l.ok)
     }
@@ -90,18 +99,20 @@ impl fmt::Display for GateReport {
         for line in &self.lines {
             writeln!(f, "{line}")?;
         }
+        let timings = self.lines.iter().filter(|l| l.kind == GateKind::Timing).count();
+        let counts = self.lines.len() - timings;
         let failures = self.failures().len();
         if failures == 0 {
             write!(
                 f,
-                "bench gate passed: {} key(s) within {:.0}% of baseline",
-                self.lines.len(),
+                "bench gate passed: {timings} timing metric(s) within {:.0}% of baseline, \
+                 {counts} count(s) exact",
                 self.tolerance_pct
             )
         } else {
             write!(
                 f,
-                "bench gate FAILED: {failures} of {} key(s) regressed beyond {:.0}%",
+                "bench gate FAILED: {failures} of {} metric(s) regressed beyond {:.0}% or drifted",
                 self.lines.len(),
                 self.tolerance_pct
             )
@@ -109,65 +120,72 @@ impl fmt::Display for GateReport {
     }
 }
 
-fn numeric(v: &Value) -> Option<f64> {
-    match v {
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
+/// The `(value, unit)` of metric `name` in a result line.
+fn metric<'a>(line: &'a Value, name: &str) -> Option<(f64, &'a str)> {
+    let entry = line.get("metrics")?.get(name)?;
+    Some((entry.get("value")?.as_f64()?, entry.get("unit")?.as_str()?))
 }
 
-/// Compare `fresh` against `baseline`.
+/// Compare the `fresh` result line against the `baseline` one.
 ///
-/// Timing keys are every top-level numeric key of the baseline ending in
-/// `_ms` — unless `keys` restricts the set. Keys listed in `exact` are
-/// compared for equality instead. A gated key missing from `fresh` (or
-/// non-numeric on either side) is an error, not a silent pass.
+/// `keys` names the timing metrics; every baseline metric in unit
+/// `count` is compared for equality. A timing metric whose baseline is
+/// zero or below is too small to measure and never fails.
 ///
 /// # Errors
-/// Returns a message naming the offending key.
+/// Returns a message when the fresh line is not `"correct": true` with
+/// `"failed": 0`, when a gated metric is missing or malformed in either
+/// line, or when there is nothing to gate.
 pub fn compare(
     baseline: &Value,
     fresh: &Value,
     tolerance_pct: f64,
-    keys: Option<&[String]>,
-    exact: &[String],
+    keys: &[String],
 ) -> Result<GateReport, String> {
-    let Value::Obj(fields) = baseline else {
-        return Err("baseline is not a JSON object".into());
+    let correct = fresh.get("correct").and_then(Value::as_bool);
+    let failed = fresh.get("failed").and_then(Value::as_i64);
+    if correct != Some(true) || failed != Some(0) {
+        let shown = |key| fresh.get(key).map_or("missing".to_string(), Value::to_string);
+        return Err(format!(
+            "refusing the fresh line: \"correct\": {}, \"failed\": {} (the gate needs true and 0)",
+            shown("correct"),
+            shown("failed")
+        ));
+    }
+    let Some(Value::Obj(metrics)) = baseline.get("metrics") else {
+        return Err("baseline has no \"metrics\" object".into());
     };
-    let timing: Vec<String> = match keys {
-        Some(list) => list.to_vec(),
-        None => fields
-            .iter()
-            .filter(|(k, v)| k.ends_with("_ms") && numeric(v).is_some())
-            .map(|(k, _)| k.clone())
-            .collect(),
-    };
+    let counts = metrics
+        .iter()
+        .filter(|(_, m)| m.get("unit").and_then(Value::as_str) == Some("count"))
+        .map(|(name, _)| name);
     let mut lines = Vec::new();
-    for (kind, key) in timing
+    for (kind, key) in keys
         .iter()
         .map(|k| (GateKind::Timing, k))
-        .chain(exact.iter().map(|k| (GateKind::Exact, k)))
+        .chain(counts.map(|k| (GateKind::Exact, k)))
     {
-        let base = baseline
-            .get(key)
-            .and_then(numeric)
-            .ok_or_else(|| format!("baseline key {key:?} is missing or not numeric"))?;
-        let now = fresh
-            .get(key)
-            .and_then(numeric)
-            .ok_or_else(|| format!("fresh key {key:?} is missing or not numeric"))?;
+        let (base, unit) = metric(baseline, key)
+            .ok_or_else(|| format!("baseline metric {key:?} is missing or malformed"))?;
+        let (now, _) = metric(fresh, key)
+            .ok_or_else(|| format!("fresh metric {key:?} is missing or malformed"))?;
         let ok = match kind {
             // A zero baseline means "too small to measure" — any fresh
             // value is equally unmeasurable noise, never a regression.
             GateKind::Timing => base <= 0.0 || now <= base * (1.0 + tolerance_pct / 100.0),
             GateKind::Exact => now == base,
         };
-        lines.push(GateLine { key: key.clone(), baseline: base, fresh: now, kind, ok });
+        lines.push(GateLine {
+            key: key.clone(),
+            unit: unit.to_string(),
+            baseline: base,
+            fresh: now,
+            kind,
+            ok,
+        });
     }
     if lines.is_empty() {
-        return Err("nothing to gate: no timing keys found and no --exact keys given".into());
+        return Err("nothing to gate: the baseline has no count metrics and no --keys".into());
     }
     Ok(GateReport { lines, tolerance_pct })
 }
@@ -177,24 +195,45 @@ mod tests {
     use super::*;
     use crate::json::parse;
 
-    fn obj(text: &str) -> Value {
-        parse(text).unwrap()
+    /// A result line: `correct`/`failed` as given, one metric per
+    /// `(name, value, unit)`.
+    fn line(correct: bool, failed: u32, metrics: &[(&str, f64, &str)]) -> Value {
+        let metrics: Vec<String> = metrics
+            .iter()
+            .map(|(name, value, unit)| format!(r#""{name}":{{"value":{value},"unit":"{unit}"}}"#))
+            .collect();
+        parse(&format!(
+            r#"{{"correct":{correct},"attempted":10,"failed":{failed},"metrics":{{{}}}}}"#,
+            metrics.join(",")
+        ))
+        .unwrap()
+    }
+
+    fn ok_line(metrics: &[(&str, f64, &str)]) -> Value {
+        line(true, 0, metrics)
+    }
+
+    fn keys(names: &[&str]) -> Vec<String> {
+        names.iter().map(|k| k.to_string()).collect()
     }
 
     #[test]
     fn within_tolerance_passes() {
-        let base = obj(r#"{"cold_ms": 100.0, "warm_ms": 10.0, "runs": 240}"#);
-        let fresh = obj(r#"{"cold_ms": 120.0, "warm_ms": 9.0, "runs": 240}"#);
-        let report = compare(&base, &fresh, 25.0, None, &[]).unwrap();
+        let base = ok_line(&[("expand.ms", 100.0, "ms"), ("spec.us", 10.0, "us")]);
+        let fresh = ok_line(&[("expand.ms", 120.0, "ms"), ("spec.us", 9.0, "us")]);
+        let report = compare(&base, &fresh, 25.0, &keys(&["expand.ms", "spec.us"])).unwrap();
         assert!(report.passed(), "{report}");
-        assert_eq!(report.lines.len(), 2, "only *_ms keys are gated by default");
+        assert_eq!(report.lines.len(), 2);
+        // Each metric prints in its own unit.
+        let text = report.to_string();
+        assert!(text.contains(" ms ") && text.contains(" us "), "{text}");
     }
 
     #[test]
     fn regression_beyond_tolerance_fails() {
-        let base = obj(r#"{"cold_ms": 100.0}"#);
-        let fresh = obj(r#"{"cold_ms": 126.0}"#);
-        let report = compare(&base, &fresh, 25.0, None, &[]).unwrap();
+        let base = ok_line(&[("expand.ms", 100.0, "ms")]);
+        let fresh = ok_line(&[("expand.ms", 126.0, "ms")]);
+        let report = compare(&base, &fresh, 25.0, &keys(&["expand.ms"])).unwrap();
         assert!(!report.passed());
         assert_eq!(report.failures().len(), 1);
         assert!(report.to_string().contains("FAILED"));
@@ -202,54 +241,92 @@ mod tests {
 
     #[test]
     fn improvements_always_pass() {
-        let base = obj(r#"{"cold_ms": 100.0}"#);
-        let fresh = obj(r#"{"cold_ms": 1.0}"#);
-        assert!(compare(&base, &fresh, 25.0, None, &[]).unwrap().passed());
+        let base = ok_line(&[("expand.ms", 100.0, "ms")]);
+        let fresh = ok_line(&[("expand.ms", 1.0, "ms")]);
+        assert!(compare(&base, &fresh, 25.0, &keys(&["expand.ms"])).unwrap().passed());
     }
 
     #[test]
     fn zero_baseline_never_fails_the_timing_gate() {
         // A 0.0 baseline means "too small to measure" — any fresh value is
         // noise at the same scale, and the report must not print NaN.
-        let base = obj(r#"{"warm_ms": 0.0}"#);
-        let fresh = obj(r#"{"warm_ms": 0.4}"#);
-        let report = compare(&base, &fresh, 25.0, None, &[]).unwrap();
+        let base = ok_line(&[("cluster.merge.ms", 0.0, "ms")]);
+        let fresh = ok_line(&[("cluster.merge.ms", 0.4, "ms")]);
+        let report = compare(&base, &fresh, 25.0, &keys(&["cluster.merge.ms"])).unwrap();
         assert!(report.passed(), "{report}");
         assert!(report.to_string().contains("n/a"));
     }
 
     #[test]
     fn exact_keys_must_match_to_the_digit() {
-        let base = obj(r#"{"cold_ms": 100.0, "runs": 240}"#);
-        let drifted = obj(r#"{"cold_ms": 100.0, "runs": 241}"#);
-        let report = compare(&base, &drifted, 25.0, None, &["runs".to_string()]).unwrap();
+        // Every `count` metric is gated exactly without any flag; timing
+        // metrics not named by `keys` are not gated at all.
+        let base = ok_line(&[
+            ("expand.ms", 100.0, "ms"),
+            ("expand.runs", 240.0, "count"),
+            ("cache.builds", 7.0, "count"),
+        ]);
+        let same = ok_line(&[
+            ("expand.ms", 999.0, "ms"),
+            ("expand.runs", 240.0, "count"),
+            ("cache.builds", 7.0, "count"),
+        ]);
+        let report = compare(&base, &same, 25.0, &[]).unwrap();
+        assert!(report.passed(), "{report}");
+        assert_eq!(report.lines.len(), 2);
+        assert!(report.lines.iter().all(|l| l.kind == GateKind::Exact));
+
+        let drifted = ok_line(&[
+            ("expand.ms", 100.0, "ms"),
+            ("expand.runs", 241.0, "count"),
+            ("cache.builds", 7.0, "count"),
+        ]);
+        let report = compare(&base, &drifted, 25.0, &keys(&["expand.ms"])).unwrap();
         assert!(!report.passed());
-        let line = &report.failures()[0];
-        assert_eq!(line.key, "runs");
-        assert_eq!(line.kind, GateKind::Exact);
+        let failures = report.failures();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].key, "expand.runs");
+        assert_eq!(failures[0].kind, GateKind::Exact);
     }
 
     #[test]
     fn explicit_keys_restrict_the_timing_set() {
-        let base = obj(r#"{"cold_ms": 100.0, "warm_ms": 1.0}"#);
-        let fresh = obj(r#"{"cold_ms": 100.0, "warm_ms": 99.0}"#);
-        // warm_ms regressed, but only cold_ms is gated.
-        let report = compare(&base, &fresh, 25.0, Some(&["cold_ms".to_string()]), &[]).unwrap();
+        let base = ok_line(&[("expand.ms", 100.0, "ms"), ("cache.ms", 1.0, "ms")]);
+        let fresh = ok_line(&[("expand.ms", 100.0, "ms"), ("cache.ms", 99.0, "ms")]);
+        // cache.ms regressed, but only expand.ms is gated.
+        let report = compare(&base, &fresh, 25.0, &keys(&["expand.ms"])).unwrap();
         assert!(report.passed());
+        assert_eq!(report.lines.len(), 1);
     }
 
     #[test]
     fn missing_fresh_key_is_an_error() {
-        let base = obj(r#"{"cold_ms": 100.0}"#);
-        let fresh = obj(r#"{"other_ms": 1.0}"#);
-        let err = compare(&base, &fresh, 25.0, None, &[]).unwrap_err();
-        assert!(err.contains("cold_ms"));
+        let base = ok_line(&[("expand.ms", 100.0, "ms")]);
+        let fresh = ok_line(&[("sim_check.ms", 1.0, "ms")]);
+        let err = compare(&base, &fresh, 25.0, &keys(&["expand.ms"])).unwrap_err();
+        assert!(err.contains("expand.ms"), "{err}");
+        // So is a count the fresh line lost.
+        let base = ok_line(&[("expand.runs", 240.0, "count")]);
+        let err = compare(&base, &fresh, 25.0, &[]).unwrap_err();
+        assert!(err.contains("expand.runs"), "{err}");
+    }
+
+    #[test]
+    fn incorrect_or_failed_fresh_line_is_refused() {
+        let base = ok_line(&[("expand.runs", 240.0, "count")]);
+        for fresh in [
+            line(false, 0, &[("expand.runs", 240.0, "count")]),
+            line(true, 1, &[("expand.runs", 240.0, "count")]),
+        ] {
+            let err = compare(&base, &fresh, 25.0, &[]).unwrap_err();
+            assert!(err.contains("refusing"), "{err}");
+        }
     }
 
     #[test]
     fn empty_gate_is_an_error() {
-        let base = obj(r#"{"runs": 240}"#);
-        let err = compare(&base, &base, 25.0, None, &[]).unwrap_err();
+        let base = ok_line(&[("expand.ms", 100.0, "ms")]);
+        let err = compare(&base, &base, 25.0, &[]).unwrap_err();
         assert!(err.contains("nothing to gate"));
     }
 }

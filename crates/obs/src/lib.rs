@@ -15,7 +15,7 @@
 //!   instrumented hot loops cost nothing when nobody is listening.
 //! * [`metrics`] — a process-global [`Registry`] of
 //!   named lock-free [`Counter`]s,
-//!   [`Gauge`]s, and mergeable log-bucketed
+//!   [`Gauge`]s, and log-bucketed
 //!   [`Histogram`]s (p50/p90/p99/max with bounded
 //!   relative error), plus [`prom`] renderers for Prometheus text
 //!   exposition.

@@ -1,4 +1,4 @@
-//! Lock-free named metrics: counters, gauges, and mergeable log-bucketed
+//! Lock-free named metrics: counters, gauges, and log-bucketed
 //! histograms, plus the process-global [`Registry`].
 //!
 //! # Histogram buckets
@@ -10,9 +10,9 @@
 //! buckets of one `AtomicU64` each. Values `0..=4` get exact buckets,
 //! and every bucket *upper bound* is exactly representable: a histogram
 //! fed only bucket-boundary values reports exact quantiles (see the
-//! bucket-boundary test). Merging adds per-bucket counts, so merge is
-//! commutative and associative — per-worker histograms combine into one
-//! without coordination.
+//! bucket-boundary test). Every process uses the same fixed bounds, so
+//! two snapshots merge exactly by adding counts per bound — the cluster
+//! coordinator folds its workers' histograms that way.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,7 +97,7 @@ impl Gauge {
     }
 }
 
-/// A mergeable log-bucketed histogram over `u64` samples; see the
+/// A log-bucketed histogram over `u64` samples; see the
 /// [module docs](self) for the bucket layout.
 #[derive(Debug)]
 pub struct Histogram {
@@ -169,21 +169,6 @@ impl Histogram {
             }
         }
         self.max() // racing writers bumped buckets after `count` was read
-    }
-
-    /// Fold `other`'s samples into `self` (per-bucket addition — the
-    /// merge is commutative and associative, so per-worker histograms
-    /// combine in any order).
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
-        self.max.fetch_max(other.max(), Ordering::Relaxed);
     }
 
     /// An immutable snapshot (non-empty buckets only).
@@ -393,38 +378,6 @@ mod tests {
         assert_eq!(h.max(), THREADS as u64 * PER_THREAD - 1);
         let total: u64 = h.snapshot().buckets.iter().map(|&(_, n)| n).sum();
         assert_eq!(total, h.count(), "no increment may be lost");
-    }
-
-    #[test]
-    fn merge_is_commutative_and_associative() {
-        let samples_a = [1u64, 5, 9, 1000, 12345];
-        let samples_b = [2u64, 5, 777, 1 << 30];
-        let samples_c = [0u64, 3, 4, 999_999_999];
-        let fill = |samples: &[u64]| {
-            let h = Histogram::new();
-            for &s in samples {
-                h.record(s);
-            }
-            h
-        };
-        // h1 ∪ h2 == h2 ∪ h1
-        let ab = fill(&samples_a);
-        ab.merge_from(&fill(&samples_b));
-        let ba = fill(&samples_b);
-        ba.merge_from(&fill(&samples_a));
-        assert_eq!(ab.snapshot(), ba.snapshot());
-        // (a ∪ b) ∪ c == a ∪ (b ∪ c)
-        let ab_c = fill(&samples_a);
-        ab_c.merge_from(&fill(&samples_b));
-        ab_c.merge_from(&fill(&samples_c));
-        let bc = fill(&samples_b);
-        bc.merge_from(&fill(&samples_c));
-        let a_bc = fill(&samples_a);
-        a_bc.merge_from(&bc);
-        assert_eq!(ab_c.snapshot(), a_bc.snapshot());
-        // The merged quantiles see every sample.
-        assert_eq!(ab_c.count(), (samples_a.len() + samples_b.len() + samples_c.len()) as u64);
-        assert_eq!(ab_c.max(), 1 << 30);
     }
 
     #[test]

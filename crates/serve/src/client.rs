@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 client — the other half of the hand-rolled
-//! protocol, used by the `serve-bench` load generator, the cluster
-//! coordinator, the CI smoke jobs, and the integration tests.
+//! protocol, used by the cluster coordinator, peer warm-start, the
+//! benchmark's HTTP door, and the integration tests.
 //!
 //! One [`Client`] is one (lazily re-established) keep-alive connection: a
 //! request rides the open socket when there is one, and a connection the
@@ -98,13 +98,6 @@ impl Client {
     /// [`reconnects`](Self::reconnects).
     pub fn timeouts(&self) -> usize {
         self.timeouts
-    }
-
-    /// Close the current connection (the next request re-dials). An idle
-    /// keep-alive connection pins a server worker until the idle timeout;
-    /// a client that will pause for a while should let go of it.
-    pub fn close(&mut self) {
-        self.stream = None;
     }
 
     fn dial(&self, remaining: Duration) -> io::Result<BufReader<TcpStream>> {

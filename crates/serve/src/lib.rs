@@ -1,7 +1,6 @@
 //! **The consensus service** — a multi-threaded HTTP solvability query
 //! service over the lab's [`Session`](consensus_lab::session::Session)
-//! facade, plus the built-in load-generator bench behind
-//! `consensus-lab serve-bench`.
+//! facade.
 //!
 //! The sweep engine answers the paper's question — *is consensus solvable
 //! under adversary `A` at resolution `d`?* — one process at a time. This
@@ -22,14 +21,11 @@
 //!   structured `4xx`/`5xx` mapping;
 //! * [`metrics`] — lock-free request counters split 4xx/5xx, per-endpoint
 //!   latency histograms (p50/p90/p99), and Prometheus text rendering;
-//! * [`client`] — a minimal keep-alive client;
-//! * [`loadgen`] — the `serve-bench` load generator emitting
-//!   `BENCH_serve.json`.
+//! * [`client`] — a minimal keep-alive client.
 //!
 //! The `consensus-lab` binary (grown in `crates/lab`, moved here when it
 //! gained the service subcommands, and now living in `crates/cluster`
-//! above the coordinator) exposes all of this as `consensus-lab serve`
-//! and `consensus-lab serve-bench`.
+//! above the coordinator) exposes all of this as `consensus-lab serve`.
 //!
 //! # Quickstart
 //!
@@ -57,12 +53,10 @@
 pub mod api;
 pub mod client;
 pub mod http;
-pub mod loadgen;
 pub mod metrics;
 pub mod server;
 
 pub use api::{App, Response};
 pub use client::{Client, HttpResult};
-pub use loadgen::{LoadGenConfig, LoadGenReport};
 pub use metrics::Metrics;
 pub use server::{ServeConfig, Server};

@@ -340,7 +340,7 @@ fn quantile_label(q: f64) -> &'static str {
 }
 
 /// Round milliseconds to 3 decimals — the one precision every emitted
-/// `*_ms` field of this crate uses (metrics, healthz, the bench datum).
+/// `*_ms` field of this crate uses (metrics, healthz, stats).
 pub(crate) fn round3(ms: f64) -> f64 {
     (ms * 1e3).round() / 1e3
 }

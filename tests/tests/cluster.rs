@@ -10,18 +10,22 @@
 //! * a tampered worker verdict is caught by the certificate spot-check,
 //! * the observability seam tells the truth: lifecycle events match the
 //!   run's counters one-for-one and the fleet snapshot folds every
-//!   worker's `/v1/stats`.
+//!   worker's `/v1/stats`,
+//! * a cold journaled session warm-starts from a live worker's journal
+//!   segment and then answers that worker's grid without expanding.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use consensus_cluster::coordinator::{self, ClusterConfig};
-use consensus_cluster::{spotcheck, EventSink};
+use consensus_cluster::{spotcheck, warm, EventSink};
 use consensus_lab::json::Value;
 use consensus_lab::scenario::AnalysisKind;
 use consensus_lab::session::{Query, Session};
 use consensus_lab::store::{ScenarioRecord, TIMING_FIELDS};
+use consensus_lab::{AnalysisConfig, CacheConfig, ExpandConfig};
 use consensus_serve::api::App;
+use consensus_serve::client::Client;
 use consensus_serve::server::{ServeConfig, Server};
 
 fn start_worker() -> Server {
@@ -236,4 +240,59 @@ fn tampered_worker_verdict_is_caught_by_the_certificate_spot_check() {
         "the rejection names the scenario and the certified verdict: {failure}"
     );
     server.stop();
+}
+
+#[test]
+fn a_cold_session_warm_starts_from_a_peer_journal() {
+    let root = std::env::temp_dir().join(format!("consensus-cluster-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let journaled = |dir: &str| {
+        Session::with_configs(
+            ExpandConfig::default(),
+            AnalysisConfig::default(),
+            CacheConfig::default().disk_dir(root.join(dir)),
+        )
+        .expect("open a journaled session")
+    };
+    let serve_cfg =
+        ServeConfig { addr: "127.0.0.1:0".into(), threads: 2, ..ServeConfig::default() };
+    let server = Server::bind(Arc::new(App::new(journaled("worker"))), &serve_cfg)
+        .expect("bind a journaled worker");
+    let peer = server.local_addr().to_string();
+    let cfg = cluster_config(vec![peer.clone()]);
+
+    // The worker journals the verdicts of one sweep.
+    let mut client = Client::connect(&peer).expect("connect to the worker");
+    let sweep = client
+        .post_json(
+            "/v1/sweep",
+            r#"{"catalog":true,"max_depth":2,"analyses":["solvability","component-stats"]}"#,
+        )
+        .unwrap();
+    assert_eq!(sweep.status, 200, "{}", sweep.body);
+    let segment = client.get("/v1/journal/segment").unwrap().json().unwrap();
+    let Some(Value::Arr(entries)) = segment.get("entries") else {
+        panic!("the segment must carry an entries array: {segment}");
+    };
+    assert!(!entries.is_empty(), "the worker journaled its sweep");
+
+    // A cold journaled session absorbs the segment entry for entry; a
+    // second pull finds nothing new.
+    let cold = journaled("cold");
+    let deadline = Duration::from_secs(30);
+    assert_eq!(warm::warm_from(&cold, &peer, deadline), Ok(entries.len()));
+    assert_eq!(warm::warm_from(&cold, &peer, deadline), Ok(0));
+
+    // The warmed session answers the worker's grid from the journal.
+    let report = cold.check_many(&Query::catalog_grid(cfg.max_depth, &cfg.analyses));
+    assert_eq!(report.cache.builds, 0, "a warm-started session must not expand");
+    assert_identical(report.store.records(), &serial_records(&cfg));
+
+    // Warm-start needs a journal to absorb into.
+    let refused = warm::warm_from(&Session::new(), &peer, deadline).unwrap_err();
+    assert!(refused.contains("--cache-dir"), "{refused}");
+
+    drop(client);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
 }

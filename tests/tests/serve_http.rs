@@ -2,16 +2,18 @@
 //! `TcpListener`-backed server driven through the real client, mirroring
 //! the CI smoke job — including the two serving acceptance criteria:
 //!
-//! * a warm server answers a repeated `/v1/check` with **zero** new
-//!   prefix-space expansions (asserted via the `/metrics` cache counters),
+//! * a warm server answers a repeated `/v1/check`, and a `/v1/sweep` over
+//!   a grid it already answered, with **zero** new prefix-space
+//!   expansions (asserted via the `/metrics` cache counters),
 //! * `/v1/sweep` output is byte-identical to a direct `Session` run
 //!   (modulo the scheduling-dependent [`TIMING_FIELDS`]).
 
 use std::sync::Arc;
 
+use consensus_core::certificate::{self, Certificate};
 use consensus_lab::json::{self, Value};
 use consensus_lab::scenario::AnalysisKind;
-use consensus_lab::session::{Query, Session};
+use consensus_lab::session::{certificate_adversary, Query, Session};
 use consensus_lab::store::TIMING_FIELDS;
 use consensus_lab::{AnalysisConfig, CacheConfig, ExpandConfig};
 use consensus_serve::api::App;
@@ -90,6 +92,21 @@ fn warm_check_performs_zero_new_expansions() {
         "a warm server must answer repeats with zero new expansions"
     );
     assert!(cache_counter(&mut client, "hits") > hits_after_first);
+
+    // A sweep over the grid the checks already answered is warm too, and
+    // serves the same record.
+    let sweep = client.post_json("/v1/sweep", &format!(r#"{{"queries":[{body}]}}"#)).unwrap();
+    assert_eq!(sweep.status, 200, "{}", sweep.body);
+    let Some(Value::Arr(records)) = sweep.json().unwrap().get("records").cloned() else {
+        panic!("sweep payload must carry a records array: {}", sweep.body);
+    };
+    assert_eq!(records.len(), 1);
+    assert_eq!(stripped(&records[0]), stripped(&first.json().unwrap()));
+    assert_eq!(
+        cache_counter(&mut client, "builds"),
+        builds_after_first,
+        "a sweep over an answered grid must expand nothing"
+    );
     drop(client);
     server.stop();
 }
@@ -114,6 +131,21 @@ fn one_keep_alive_connection_serves_every_endpoint() {
         .unwrap();
     assert_eq!(record.status, 200);
     assert_eq!(record.json().unwrap().get("verdict").unwrap().as_str(), Some("solvable"));
+
+    // A certificate-bearing answer decodes and re-verifies offline
+    // against the adversary it names, as `verify-cert` does.
+    let certified = client
+        .post_json(
+            "/v1/check",
+            r#"{"adversary":"cgp-reduced-lossy-link","depth":3,"analysis":"solvability","certificate":true}"#,
+        )
+        .unwrap();
+    assert_eq!(certified.status, 200, "{}", certified.body);
+    let certified = certified.json().unwrap();
+    let cert = Certificate::from_json(certified.get("certificate").expect("a certificate field"))
+        .expect("the served certificate decodes");
+    let ma = certificate_adversary(cert.adversary()).expect("the named adversary builds");
+    certificate::verify(&cert, ma.as_ref()).expect("the served certificate verifies");
 
     let sweep = client
         .post_json(
@@ -142,7 +174,7 @@ fn one_keep_alive_connection_serves_every_endpoint() {
     let requests = metrics.get("requests").unwrap();
     assert_eq!(requests.get_usize("healthz"), Some(1));
     assert_eq!(requests.get_usize("catalog"), Some(1));
-    assert_eq!(requests.get_usize("check"), Some(2));
+    assert_eq!(requests.get_usize("check"), Some(3));
     assert_eq!(requests.get_usize("sweep"), Some(1));
     assert_eq!(requests.get_usize("not_found"), Some(1));
     assert_eq!(requests.get_usize("errors"), Some(2));
