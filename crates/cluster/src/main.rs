@@ -815,11 +815,6 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         last = Some(report);
     }
     let report = last.expect("repeat >= 1");
-    if let Some(path) = &trace_path {
-        if let Err(e) = finish_trace(path) {
-            return fail(&e);
-        }
-    }
 
     // Final record set: resumed records (re-anchored to current grid
     // indices) plus this run's, in global grid order. Resumed records are
@@ -881,7 +876,14 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         expand: report.expand,
     };
 
-    match store.write_files(&out) {
+    let written = store.write_files(&out);
+    // Flushed after the write, so the trace holds its `record.encode` span.
+    if let Some(path) = &trace_path {
+        if let Err(e) = finish_trace(path) {
+            return fail(&e);
+        }
+    }
+    match written {
         Ok((jsonl, csv)) => {
             let meta_path = out.join(SWEEP_META_FILE);
             if let Err(e) = std::fs::write(&meta_path, format!("{}\n", meta.to_json())) {

@@ -28,7 +28,7 @@ use ptgraph::{contamination, InfiniteRun, Value};
 use crate::space::PrefixSpace;
 
 /// A verified exact distance-0 chain: an impossibility certificate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZeroChain {
     /// The chain runs, from a `v`-valent to a `w`-valent run.
     pub runs: Vec<InfiniteRun>,
@@ -222,10 +222,31 @@ pub fn validate_epsilon_chain(space: &PrefixSpace, chain: &EpsilonChain) -> bool
     true
 }
 
-/// A valence-connecting ε-chain at one depth: evidence (not proof) of
-/// impossibility; the family over growing depths is the finite shadow of a
-/// fair/unfair limit (Definition 5.16).
+/// A valence-connecting ε-chain at one depth, from the first `v`-valent
+/// to the first `w`-valent run: evidence (not proof) of impossibility; the
+/// family over growing depths is the finite shadow of a fair/unfair limit
+/// (Definition 5.16).
+///
+/// The chain between the domain's first two values, in domain order, is
+/// the one bivalence and solvability's undecided path ask for: it is
+/// searched once per space and memoized there. Other pairs are searched
+/// on every call.
 pub fn valence_chain(space: &PrefixSpace, v: Value, w: Value) -> Option<EpsilonChain> {
+    match space.values() {
+        [first, second, ..] if (*first, *second) == (v, w) => space
+            .first_valence_chain()
+            .get_or_init(|| search_valence_chain(space, v, w))
+            .clone(),
+        _ => search_valence_chain(space, v, w),
+    }
+}
+
+/// [`valence_chain`] without the memo.
+pub(crate) fn search_valence_chain(
+    space: &PrefixSpace,
+    v: Value,
+    w: Value,
+) -> Option<EpsilonChain> {
     let runs = space.runs();
     let from = runs.iter().position(|r| r.is_valent(v))?;
     let to = runs.iter().position(|r| r.is_valent(w))?;

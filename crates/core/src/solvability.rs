@@ -120,6 +120,22 @@ pub trait SpaceSource {
         depth: usize,
         max_runs: usize,
     ) -> Result<Arc<PrefixSpace>, enumerate::BudgetExceeded>;
+
+    /// An exact distance-0 chain of `ma` from `v`- to `w`-valent inputs,
+    /// searched over lassos of cycle length up to `max_cycle`
+    /// ([`fair::exact_zero_chain`], the default). The search depends on
+    /// the adversary alone, not on a depth, so a memoizing source may
+    /// answer it once per adversary; a chain it serves must pass
+    /// [`ZeroChain::verify`] against `ma`.
+    fn zero_chain(
+        &self,
+        ma: &dyn MessageAdversary,
+        v: Value,
+        w: Value,
+        max_cycle: usize,
+    ) -> Option<ZeroChain> {
+        fair::exact_zero_chain(ma, v, w, max_cycle)
+    }
 }
 
 /// The trivial [`SpaceSource`]: builds a fresh space on every request.
@@ -243,7 +259,7 @@ impl<M: MessageAdversary> SolvabilityChecker<M> {
     /// Run the check.
     pub fn check(&self) -> Verdict {
         // Phase 1: exact impossibility certificates (cheap, rigorous).
-        if let Some(verdict) = self.exact_impossibility() {
+        if let Some(verdict) = self.exact_impossibility(&FreshSpaces) {
             return verdict;
         }
 
@@ -255,12 +271,7 @@ impl<M: MessageAdversary> SolvabilityChecker<M> {
         for _depth in 0..=self.analysis.max_depth {
             match current.take() {
                 Some(space) => {
-                    let separated = if self.analysis.strong_validity {
-                        space.strong_component_assignment().is_some()
-                    } else {
-                        space.separation().is_separated()
-                    };
-                    if separated {
+                    if self.separated(&space) {
                         return self.certify_solvable(&space);
                     }
                     if space.depth() < self.analysis.max_depth {
@@ -285,31 +296,18 @@ impl<M: MessageAdversary> SolvabilityChecker<M> {
         }
 
         // Phase 3: undecided with evidence.
-        let (mixed, chain, max_depth) = match &last {
-            Some(space) => {
-                let rep = space.separation();
-                let chain = self.first_mixed_chain(space);
-                (rep.mixed_components.len(), chain, space.depth())
-            }
-            None => (0, None, 0),
-        };
-        Verdict::Undecided(UndecidedReport {
-            max_depth,
-            mixed_components: mixed,
-            chain,
-            compact: self.ma.is_compact(),
-            budget_hit,
-        })
+        self.undecided(last.as_ref(), budget_hit)
     }
 
-    /// Phase 1 of [`check`](Self::check): search for an exact distance-0
-    /// chain between two valences — a rigorous impossibility certificate
-    /// that needs no prefix-space expansion.
-    pub fn exact_impossibility(&self) -> Option<Verdict> {
+    /// Phase 1 of [`check`](Self::check) and
+    /// [`check_via`](Self::check_via): ask `source` for an exact
+    /// distance-0 chain between two valences — a rigorous impossibility
+    /// certificate that needs no prefix-space expansion.
+    pub fn exact_impossibility(&self, source: &dyn SpaceSource) -> Option<Verdict> {
         for (i, &v) in self.values.iter().enumerate() {
             for &w in &self.values[i + 1..] {
                 if let Some(chain) =
-                    fair::exact_zero_chain(&self.ma, v, w, self.analysis.max_chain_cycle)
+                    source.zero_chain(&self.ma, v, w, self.analysis.max_chain_cycle)
                 {
                     debug_assert!(chain.verify(&self.ma));
                     return Some(Verdict::Unsolvable(UnsolvableCert::ZeroChain(chain)));
@@ -319,12 +317,13 @@ impl<M: MessageAdversary> SolvabilityChecker<M> {
         None
     }
 
-    /// Run the check against spaces supplied by `source` instead of
-    /// building them here. Semantically identical to [`check`](Self::check);
-    /// a shared caching source amortizes the expansions across analyses and
-    /// scenarios (the lab's sweep path).
+    /// Run the check against spaces and exact chains supplied by `source`
+    /// instead of computing them here. Semantically identical to
+    /// [`check`](Self::check); a shared caching source amortizes the
+    /// expansions and chain searches across analyses and scenarios (the
+    /// lab's sweep path).
     pub fn check_via(&self, source: &dyn SpaceSource) -> Verdict {
-        if let Some(verdict) = self.exact_impossibility() {
+        if let Some(verdict) = self.exact_impossibility(source) {
             return verdict;
         }
 
@@ -333,12 +332,7 @@ impl<M: MessageAdversary> SolvabilityChecker<M> {
         for depth in 0..=self.analysis.max_depth {
             match source.space(&self.ma, &self.values, depth, self.expand.max_runs) {
                 Ok(space) => {
-                    let separated = if self.analysis.strong_validity {
-                        space.strong_component_assignment().is_some()
-                    } else {
-                        space.separation().is_separated()
-                    };
-                    if separated {
+                    if self.separated(&space) {
                         return self.certify_solvable(&space);
                     }
                     last = Some(space);
@@ -349,13 +343,28 @@ impl<M: MessageAdversary> SolvabilityChecker<M> {
                 }
             }
         }
+        self.undecided(last.as_deref(), budget_hit)
+    }
 
-        let (mixed, chain, max_depth) = match &last {
-            Some(space) => {
-                let rep = space.separation();
-                let chain = self.first_mixed_chain(space);
-                (rep.mixed_components.len(), chain, space.depth())
-            }
+    /// Whether `space` separates the valences under the configured
+    /// validity flavor.
+    fn separated(&self, space: &PrefixSpace) -> bool {
+        if self.analysis.strong_validity {
+            space.strong_component_assignment().is_some()
+        } else {
+            space.separation().is_separated()
+        }
+    }
+
+    /// The undecided verdict, with the evidence of the deepest space
+    /// examined (`None` if even depth 0 was over budget).
+    fn undecided(&self, last: Option<&PrefixSpace>, budget_hit: bool) -> Verdict {
+        let (mixed, chain, max_depth) = match last {
+            Some(space) => (
+                space.separation().mixed_components.len(),
+                self.first_mixed_chain(space),
+                space.depth(),
+            ),
             None => (0, None, 0),
         };
         Verdict::Undecided(UndecidedReport {

@@ -18,10 +18,12 @@ use consensus_obs::trace::tracer;
 use dyngraph::{GraphSeq, Pid};
 use ptgraph::{PrefixRun, Value, ViewId};
 use simulator::checker::CheckReport;
-use topology::{components_by_dense_buckets, separation, Components};
+use topology::separation::{self, SeparationReport};
+use topology::{components_by_dense_buckets, Components};
 
 use crate::config::ExpandConfig;
 use crate::error::Error;
+use crate::fair::EpsilonChain;
 
 /// Registry histogram of expansion wall time (nanoseconds), shared by
 /// the build and extension paths. The handle is cached so hot rebuild
@@ -46,17 +48,32 @@ fn extend_span(depth: usize) -> consensus_obs::trace::SpanGuard {
 ///
 /// The space is the only source of its admissible sequences
 /// ([`sequences`](Self::sequences)): the universal algorithm's
-/// verification walks them, and its report is memoized here, once per
-/// validity flavor (see [`UniversalAlgorithm::verify`]). Extending the
-/// space, in place or into a new one, starts with an empty memo.
+/// verification walks them. What the analyses derive from the space
+/// alone is memoized here on first request: the
+/// [`separation`](Self::separation) of its valence labeling, the
+/// [`valence_chain`] between the domain's first two values, and the
+/// universal algorithm's verification report, once per validity flavor
+/// (see [`UniversalAlgorithm::verify`]). Extending the space, in place
+/// or into a new one, starts with an empty memo.
 ///
+/// [`valence_chain`]: crate::fair::valence_chain
 /// [`UniversalAlgorithm::verify`]: crate::universal::UniversalAlgorithm::verify
 #[derive(Debug, Clone)]
 pub struct PrefixSpace {
     expansion: enumerate::Expansion,
     components: Components,
+    memo: Memo,
+}
+
+/// The per-space memo cells; see [`PrefixSpace`].
+#[derive(Debug, Clone, Default)]
+struct Memo {
+    separation: OnceLock<SeparationReport>,
+    /// The valence chain from the first `values[0]`-valent to the first
+    /// `values[1]`-valent run.
+    valence_chain: OnceLock<Option<EpsilonChain>>,
     /// The universal algorithm's verification report, indexed by
-    /// validity flavor (0 weak, 1 strong), filled on first request.
+    /// validity flavor (0 weak, 1 strong).
     verified: [OnceLock<CheckReport>; 2],
 }
 
@@ -132,8 +149,7 @@ impl PrefixSpace {
     ///
     /// # Errors
     /// Returns [`Error::Budget`] if the extension would exceed the budget;
-    /// `self` — runs, view table and verification memo — is untouched
-    /// either way.
+    /// `self` — runs, view table and memo — is untouched either way.
     ///
     /// [`SpaceSource`]: crate::solvability::SpaceSource
     pub fn extend_from(
@@ -219,7 +235,7 @@ impl PrefixSpace {
         stage_components().record_duration(start.elapsed());
         span.set_attr("runs", expansion.runs.len());
         span.set_attr("components", components.count());
-        PrefixSpace { expansion, components, verified: Default::default() }
+        PrefixSpace { expansion, components, memo: Memo::default() }
     }
 
     /// The admissible runs: every input assignment under every admissible
@@ -248,7 +264,13 @@ impl PrefixSpace {
     /// The memo cell of the universal algorithm's verification under the
     /// given validity flavor.
     pub(crate) fn verified(&self, strong_validity: bool) -> &OnceLock<CheckReport> {
-        &self.verified[usize::from(strong_validity)]
+        &self.memo.verified[usize::from(strong_validity)]
+    }
+
+    /// The memo cell of the valence chain between the domain's first two
+    /// values (see [`crate::fair::valence_chain`]).
+    pub(crate) fn first_valence_chain(&self) -> &OnceLock<Option<EpsilonChain>> {
+        &self.memo.valence_chain
     }
 
     /// The shared view table.
@@ -308,8 +330,11 @@ impl PrefixSpace {
 
     /// The separation report of the valence labeling — Corollary 5.6 at this
     /// resolution: separated ⟺ no component contains two valences.
-    pub fn separation(&self) -> separation::SeparationReport<Value> {
-        separation::check_separation(&self.components, &self.valence_labels())
+    /// Computed on first request and memoized.
+    pub fn separation(&self) -> &SeparationReport {
+        self.memo
+            .separation
+            .get_or_init(|| separation::check_separation(&self.components, &self.valence_labels()))
     }
 
     /// The total component → value assignment of the meta-procedure
@@ -588,15 +613,25 @@ mod tests {
         assert_eq!(base.depth(), 1);
     }
 
+    /// Whether every memo cell of `space` is empty.
+    fn memo_is_empty(space: &PrefixSpace) -> bool {
+        let memo = &space.memo;
+        memo.separation.get().is_none()
+            && memo.valence_chain.get().is_none()
+            && memo.verified.iter().all(|cell| cell.get().is_none())
+    }
+
     /// `extend_from` reads the base and copies only its view table: after
     /// a failed and a successful call, the base's runs (down to their
-    /// shared sequences), table and verification memo are those it had,
-    /// and a new space starts with an empty memo.
+    /// shared sequences), table and memo are those it had, and a new
+    /// space starts with an empty memo.
     #[test]
     fn extend_from_leaves_base_runs_table_and_memo_untouched() {
         let ma = GeneralMA::oblivious(generators::lossy_link_reduced());
         let base = reduced(1);
         let memo: *const CheckReport = UniversalAlgorithm::synthesize(&base).unwrap().verify(&base);
+        let separation: *const SeparationReport = base.separation();
+        let chain = crate::fair::valence_chain(&base, 0, 1);
         let (runs, table) = (base.runs().to_vec(), base.table().clone());
         let seqs: Vec<*const GraphSeq> = runs.iter().map(|r| r.seq() as *const _).collect();
         for cfg in [ExpandConfig::with_budget(10), CFG] {
@@ -607,8 +642,10 @@ mod tests {
             assert!(base.runs().iter().zip(&seqs).all(|(r, &s)| std::ptr::eq(r.seq(), s)));
             assert!(std::ptr::eq(base.verified(false).get().unwrap(), memo));
             assert!(base.verified(true).get().is_none());
+            assert!(std::ptr::eq(base.memo.separation.get().unwrap(), separation));
+            assert_eq!(base.memo.valence_chain.get(), Some(&chain));
             if let Ok(deeper) = deeper {
-                assert!(deeper.verified(false).get().is_none());
+                assert!(memo_is_empty(&deeper));
             }
         }
     }
@@ -620,12 +657,53 @@ mod tests {
         let ma = GeneralMA::oblivious(generators::lossy_link_reduced());
         let space = reduced(1);
         let memo = UniversalAlgorithm::synthesize(&space).unwrap().verify(&space).clone();
+        let separation = space.separation().clone();
+        let chain = crate::fair::valence_chain(&space, 0, 1);
         let (space, _) = space.extend(&ma, &ExpandConfig::with_budget(10)).unwrap_err();
         assert_eq!(space.verified(false).get(), Some(&memo));
+        assert_eq!(space.memo.separation.get(), Some(&separation));
+        assert_eq!(space.memo.valence_chain.get(), Some(&chain));
         let deeper = space.extend(&ma, &CFG).unwrap();
-        assert!(deeper.verified(false).get().is_none() && deeper.verified(true).get().is_none());
+        assert!(memo_is_empty(&deeper));
         let report = UniversalAlgorithm::synthesize(&deeper).unwrap().verify(&deeper);
         assert_eq!(report.runs_checked, deeper.runs().len());
+    }
+
+    /// `separation()` computes the report once: every call returns the
+    /// memoized one, equal to a fresh check.
+    #[test]
+    fn separation_is_computed_once() {
+        for space in [reduced(2), full(2)] {
+            assert!(space.memo.separation.get().is_none());
+            let first: *const SeparationReport = space.separation();
+            assert!(std::ptr::eq(first, space.separation()));
+            let fresh = separation::check_separation(space.components(), &space.valence_labels());
+            assert_eq!(*space.separation(), fresh);
+        }
+    }
+
+    /// The memoized valence chain equals a fresh search on every catalog
+    /// space up to depth 4; the reverse pair is not memoized and equals
+    /// its search too.
+    #[test]
+    fn valence_chain_memo_matches_the_search_on_catalog_spaces() {
+        use crate::fair::{search_valence_chain, valence_chain};
+        let mut chains = 0;
+        for entry in adversary::catalog::entries() {
+            let ma = entry.build();
+            for depth in 0..=4 {
+                let space = PrefixSpace::expand(&*ma, &[0, 1], depth, &CFG).unwrap();
+                let at = format!("{}@{depth}", entry.name);
+                let search = search_valence_chain(&space, 0, 1);
+                assert_eq!(valence_chain(&space, 0, 1), search, "{at}");
+                assert_eq!(space.memo.valence_chain.get(), Some(&search), "{at}");
+                assert_eq!(valence_chain(&space, 0, 1), search, "{at}");
+                assert_eq!(valence_chain(&space, 1, 0), search_valence_chain(&space, 1, 0), "{at}");
+                assert_eq!(space.memo.valence_chain.get(), Some(&search), "{at}");
+                chains += usize::from(search.is_some());
+            }
+        }
+        assert!(chains >= 20, "only {chains} spaces have a valence chain");
     }
 
     #[test]

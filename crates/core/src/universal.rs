@@ -154,6 +154,17 @@ impl UniversalAlgorithm {
         })
     }
 
+    /// The weak-validity verification report of `space`: the memoized one
+    /// when any weak synthesis was verified on it already, else that of a
+    /// fresh synthesis, which [`verify`](Self::verify) memoizes. `None` if
+    /// the space does not synthesize (its valence labeling is mixed).
+    pub fn weak_verification(space: &PrefixSpace) -> Option<&CheckReport> {
+        match space.verified(false).get() {
+            Some(report) => Some(report),
+            None => Some(Self::synthesize(space)?.verify(space)),
+        }
+    }
+
     /// The synthesis depth: the round by which every admissible run decides.
     pub fn decision_depth(&self) -> usize {
         self.depth

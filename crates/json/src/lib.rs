@@ -11,7 +11,7 @@
 //! hex strings), and a parser to read result files and request bodies back.
 //! The subset implemented is exactly what the store emits: objects, arrays,
 //! strings, integers, floats, bools, and null — no exponent-notation
-//! output, `\uXXXX` escapes on input only.
+//! output, and `\uXXXX` escapes on output only for control bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -104,60 +104,112 @@ impl Value {
     }
 }
 
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Value {
+    /// Append the JSON text of this value to `out` — the one encoder;
+    /// [`Display`](fmt::Display) delegates to it.
+    ///
+    /// Strings are copied one unescaped run at a time, and integers are
+    /// formatted by hand, so no `fmt` machinery runs per character or per
+    /// integer. Escaped are exactly `"`, `\`, `\n`, `\r`, `\t` and every
+    /// other byte below 0x20 (as `\u00xx`); multi-byte UTF-8 is copied as
+    /// is. A float prints with one decimal place when it is integral and
+    /// below 10^15 in magnitude, and in Rust's shortest round-trip form
+    /// otherwise.
+    pub fn write_to(&self, out: &mut String) {
         match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Int(i) => write!(f, "{i}"),
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(i) => push_int(out, *i),
             Value::Float(x) => {
-                if x.fract() == 0.0 && x.abs() < 1e15 {
-                    write!(f, "{x:.1}")
+                use fmt::Write;
+                let written = if x.fract() == 0.0 && x.abs() < 1e15 {
+                    write!(out, "{x:.1}")
                 } else {
-                    write!(f, "{x}")
-                }
+                    write!(out, "{x}")
+                };
+                written.expect("writing to a String cannot fail");
             }
-            Value::Str(s) => write_escaped(f, s),
+            Value::Str(s) => push_escaped(out, s),
             Value::Arr(items) => {
-                f.write_str("[")?;
+                out.push('[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write!(f, "{v}")?;
+                    v.write_to(out);
                 }
-                f.write_str("]")
+                out.push(']');
             }
             Value::Obj(fields) => {
-                f.write_str("{")?;
+                out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
+                    push_escaped(out, k);
+                    out.push(':');
+                    v.write_to(out);
                 }
-                f.write_str("}")
+                out.push('}');
             }
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write_to(&mut out);
+        f.write_str(&out)
+    }
+}
+
+fn push_int(out: &mut String, i: i64) {
+    // 19 digits hold |i64::MIN|.
+    let mut digits = [0u8; 19];
+    let mut at = digits.len();
+    let mut rest = i.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
-    f.write_str("\"")
+    if i < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+fn push_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    // Every byte that needs escaping is ASCII, so each run between two of
+    // them starts and ends on a character boundary.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// A parse failure with byte offset.
@@ -383,6 +435,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         text.parse::<i64>().map(Value::Int).map_err(|_| err(start, "bad number"))
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

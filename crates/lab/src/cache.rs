@@ -9,7 +9,8 @@
 //! aliases `sw-lossy-link`).
 //!
 //! Implements [`consensus_core::solvability::SpaceSource`], so the core
-//! checker's depth sweep transparently reuses cached spaces too.
+//! checker's depth sweep transparently reuses cached spaces too, and its
+//! depth-independent exact-chain search runs once per adversary.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -17,6 +18,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use adversary::{enumerate, MessageAdversary};
 use consensus_core::config::ExpandConfig;
+use consensus_core::fair::{self, ZeroChain};
 use consensus_core::solvability::SpaceSource;
 use consensus_core::PrefixSpace;
 use consensus_obs::metrics::{registry, Counter, Gauge};
@@ -70,6 +72,10 @@ type Key = (u64, Vec<Value>, usize);
 /// Failure key: a [`Key`] plus the budget the expansion exceeded.
 type FailKey = (u64, Vec<Value>, usize, usize);
 
+/// Exact-chain key: fingerprint × the two valences × the lasso cycle
+/// bound.
+type ChainKey = (u64, Value, Value, usize);
+
 /// Counters describing cache effectiveness over a sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -120,10 +126,13 @@ pub struct ExpandTotals {
 ///
 /// Budget-exceeded outcomes are memoized separately (keyed with the budget)
 /// so a sweep does not re-attempt a hopeless expansion per analysis.
+/// Exact-chain searches are memoized per fingerprint too; a memoized chain
+/// is re-verified against the asking adversary before it is served.
 #[derive(Debug, Default)]
 pub struct SpaceCache {
     spaces: Mutex<HashMap<Key, Arc<PrefixSpace>>>,
     failures: Mutex<HashMap<FailKey, enumerate::BudgetExceeded>>,
+    zero_chains: Mutex<HashMap<ChainKey, Option<ZeroChain>>>,
     hits: AtomicUsize,
     builds: AtomicUsize,
     ladder_hits: AtomicUsize,
@@ -311,13 +320,150 @@ impl SpaceSource for SpaceCache {
     ) -> Result<Arc<PrefixSpace>, enumerate::BudgetExceeded> {
         self.space_with_meta(ma, values, depth, max_runs).map(|(space, _)| space)
     }
+
+    /// The memoized search result for `ma`'s fingerprint, else a fresh
+    /// search, memoized. A 64-bit fingerprint is not a proof, so a
+    /// memoized chain is served only if it verifies against `ma`, and is
+    /// searched again for `ma` otherwise. A memoized absence is served as
+    /// is, as the cached spaces are.
+    fn zero_chain(
+        &self,
+        ma: &dyn MessageAdversary,
+        v: Value,
+        w: Value,
+        max_cycle: usize,
+    ) -> Option<ZeroChain> {
+        let key: ChainKey = (ma.fingerprint(), v, w, max_cycle);
+        let memo = self.zero_chains.lock().expect("cache lock poisoned").get(&key).cloned();
+        match memo {
+            Some(Some(chain)) if chain.verify(ma) => return Some(chain),
+            Some(None) => return None,
+            _ => {}
+        }
+        let chain = fair::exact_zero_chain(ma, v, w, max_cycle);
+        self.zero_chains.lock().expect("cache lock poisoned").insert(key, chain.clone());
+        chain
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adversary::GeneralMA;
-    use dyngraph::generators;
+    use consensus_core::solvability::SolvabilityChecker;
+    use dyngraph::{generators, Digraph, GraphSeq, Lasso};
+
+    /// An adversary that counts the lassos it is asked about — every
+    /// lasso the exact-chain search tries and every run a chain's
+    /// verification re-checks — under a fingerprint of the test's choice.
+    struct LassoCounting {
+        inner: GeneralMA,
+        fingerprint: u64,
+        lassos: AtomicUsize,
+    }
+
+    impl LassoCounting {
+        fn new(pool: Vec<Digraph>, fingerprint: u64) -> Self {
+            LassoCounting {
+                inner: GeneralMA::oblivious(pool),
+                fingerprint,
+                lassos: AtomicUsize::new(0),
+            }
+        }
+
+        fn lassos(&self) -> usize {
+            self.lassos.load(Ordering::Relaxed)
+        }
+    }
+
+    impl MessageAdversary for LassoCounting {
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+        fn extensions(&self, prefix: &GraphSeq) -> Vec<Digraph> {
+            self.inner.extensions(prefix)
+        }
+        fn admits_prefix(&self, prefix: &GraphSeq) -> bool {
+            self.inner.admits_prefix(prefix)
+        }
+        fn admits_lasso(&self, lasso: &Lasso) -> Option<bool> {
+            self.lassos.fetch_add(1, Ordering::Relaxed);
+            self.inner.admits_lasso(lasso)
+        }
+        fn is_compact(&self) -> bool {
+            self.inner.is_compact()
+        }
+        fn describe(&self) -> String {
+            self.inner.describe()
+        }
+        fn pool_hint(&self) -> Option<Vec<Digraph>> {
+            self.inner.pool_hint()
+        }
+        fn fingerprint(&self) -> u64 {
+            self.fingerprint
+        }
+    }
+
+    #[test]
+    fn zero_chain_matches_the_search_for_every_catalog_adversary() {
+        let cache = SpaceCache::new();
+        let mut chains = 0;
+        for entry in adversary::catalog::entries() {
+            let ma = entry.build();
+            let direct = fair::exact_zero_chain(&*ma, 0, 1, 3);
+            // A miss, or a hit on a structurally equal alias; then a hit.
+            assert_eq!(cache.zero_chain(&*ma, 0, 1, 3), direct, "{}", entry.name);
+            assert_eq!(cache.zero_chain(&*ma, 0, 1, 3), direct, "{}", entry.name);
+            chains += usize::from(direct.is_some());
+        }
+        assert!(chains > 0, "some catalog entry must be exactly unsolvable");
+    }
+
+    /// The exact-chain search depends on the adversary alone: a second
+    /// check through the same cache, at another depth, searches nothing.
+    /// Without a chain it asks about no lasso at all; with one it only
+    /// re-verifies the memoized chain.
+    #[test]
+    fn zero_chain_search_runs_once_per_adversary() {
+        for pool in [generators::lossy_link_full(), vec![Digraph::empty(2)]] {
+            let fingerprint = GeneralMA::oblivious(pool.clone()).fingerprint();
+            let cache = SpaceCache::new();
+            let first =
+                SolvabilityChecker::new(LassoCounting::new(pool.clone(), fingerprint)).max_depth(2);
+            let first_verdict = first.check_via(&cache);
+            let searched = first.adversary().lassos();
+            assert!(searched > 0);
+            let second =
+                SolvabilityChecker::new(LassoCounting::new(pool, fingerprint)).max_depth(3);
+            let second_verdict = second.check_via(&cache);
+            assert_eq!(first_verdict.is_unsolvable(), second_verdict.is_unsolvable());
+            if second_verdict.is_unsolvable() {
+                assert!(second.adversary().lassos() < searched);
+            } else {
+                assert_eq!(second.adversary().lassos(), 0, "the search ran again");
+            }
+        }
+    }
+
+    /// A fingerprint is not a proof: a memoized chain that does not verify
+    /// for the asking adversary, here one sharing its fingerprint by
+    /// construction, is searched again instead of served.
+    #[test]
+    fn memoized_chain_failing_verification_is_recomputed() {
+        let cache = SpaceCache::new();
+        let silent = LassoCounting::new(vec![Digraph::empty(2)], 7);
+        let memoized = cache.zero_chain(&silent, 0, 1, 3).expect("the empty pool chains");
+        let unrooted = Digraph::from_edges(3, &[(0, 1)]).unwrap();
+        let other = LassoCounting::new(vec![unrooted, generators::star_out(3, 0)], 7);
+        assert!(!memoized.verify(&other));
+        let served = cache.zero_chain(&other, 0, 1, 3).expect("an unrooted graph chains");
+        assert!(served.verify(&other));
+        let verified_runs = served.runs.len();
+        assert_eq!(Some(served), fair::exact_zero_chain(&other.inner, 0, 1, 3));
+        let rooted = LassoCounting::new(generators::lossy_link_full(), 7);
+        assert_eq!(cache.zero_chain(&rooted, 0, 1, 3), None);
+        assert!(rooted.lassos() > verified_runs, "the search must run for the rooted pool");
+    }
 
     #[test]
     fn second_request_hits() {

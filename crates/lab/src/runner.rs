@@ -595,8 +595,8 @@ fn sim_check_outcome(space: &consensus_core::PrefixSpace, max_runs: usize) -> Ou
             .with("violations", Json::Int(rep.violations.len() as i64))
     };
     if universal {
-        let alg = UniversalAlgorithm::synthesize(space).expect("separated space must synthesize");
-        let rep = alg.verify(space);
+        let rep =
+            UniversalAlgorithm::weak_verification(space).expect("separated space must synthesize");
         outcome(rep).with("decision_round", Json::Int(rep.max_decision_round as i64))
     } else {
         let cfg = checker::CheckConfig::at_depth(space.depth()).max_runs(max_runs);

@@ -13,6 +13,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use consensus_core::space::SpaceStats;
+use consensus_obs::trace::tracer;
 
 use crate::json::{self, Value};
 use crate::scenario::AnalysisKind;
@@ -309,11 +310,13 @@ impl ResultStore {
         self.records
     }
 
-    /// One JSON object per line, in grid order.
+    /// One JSON object per line, in grid order, appended into one buffer
+    /// under a `record.encode` span.
     pub fn to_jsonl(&self) -> String {
+        let _span = tracer().span("record.encode").with_attr("records", self.records.len());
         let mut out = String::new();
         for r in &self.records {
-            out.push_str(&r.to_json().to_string());
+            r.to_json().write_to(&mut out);
             out.push('\n');
         }
         out

@@ -25,6 +25,7 @@ pub const KNOWN_SPANS: &[&str] = &[
     "cert.extract",
     "cert.verify",
     "journal.load",
+    "record.encode",
     "expand",
     "absorb",
     "components",

@@ -813,7 +813,7 @@ fn parse_sweep(value: &Value) -> Result<SweepRequest, Response> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn request(method: &str, target: &str, body: &str) -> Request {
@@ -830,8 +830,19 @@ mod tests {
         App::new(Session::new())
     }
 
+    /// The tracer is process-global, and a span opened while one test has
+    /// it on records when it closes, even after that test turned it off
+    /// and drained the ring. So every test that handles requests (each
+    /// opens spans) or toggles the tracer holds this lock for its whole
+    /// run. A panicked holder must not wedge the rest.
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn check_answers_a_record() {
+        let _serial = serial();
         let app = app();
         let response = app.handle(&request(
             "POST",
@@ -846,6 +857,7 @@ mod tests {
 
     #[test]
     fn check_defaults_to_solvability_and_accepts_pools() {
+        let _serial = serial();
         let app = app();
         let response =
             app.handle(&request("POST", "/v1/check", r#"{"pool":"-> <- <->","depth":2}"#));
@@ -859,6 +871,7 @@ mod tests {
     #[test]
     fn spec_field_and_compat_aliases_answer_identical_records() {
         use consensus_lab::store::TIMING_FIELDS;
+        let _serial = serial();
         let app = app();
         // Each alias body and its spec-language spelling must produce
         // byte-identical records (modulo timing fields).
@@ -887,6 +900,7 @@ mod tests {
 
     #[test]
     fn alias_liveness_target_outside_pool_is_a_400() {
+        let _serial = serial();
         // Intentional tightening of the alias surface (see parse_query):
         // the pre-redesign path accepted this shape and checked a vacuous
         // adversary; the shared lowering rejects it like eventually(..)
@@ -910,6 +924,7 @@ mod tests {
 
     #[test]
     fn composed_specs_check_end_to_end() {
+        let _serial = serial();
         let app = app();
         let response = app.handle(&request(
             "POST",
@@ -924,6 +939,7 @@ mod tests {
 
     #[test]
     fn malformed_specs_are_400_with_an_offset() {
+        let _serial = serial();
         let app = app();
         let response =
             app.handle(&request("POST", "/v1/check", r#"{"spec":"union(pool(->)","depth":2}"#));
@@ -948,6 +964,7 @@ mod tests {
 
     #[test]
     fn typed_errors_map_to_status_codes() {
+        let _serial = serial();
         let app = app();
         // Unknown catalog entry → Error::Spec → 400.
         let response =
@@ -980,6 +997,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_422() {
         use consensus_core::config::{AnalysisConfig, CacheConfig, ExpandConfig};
+        let _serial = serial();
         let app = App::new(
             Session::with_configs(
                 ExpandConfig::with_budget(10),
@@ -1001,6 +1019,7 @@ mod tests {
     #[test]
     fn sweep_matches_direct_session_records() {
         use consensus_lab::store::TIMING_FIELDS;
+        let _serial = serial();
         let app = app();
         let response = app.handle(&request(
             "POST",
@@ -1028,6 +1047,7 @@ mod tests {
 
     #[test]
     fn sweep_validates_its_grid() {
+        let _serial = serial();
         let app = app();
         for (body, fragment) in [
             (r#"{"max_depth":2}"#, "catalog"),
@@ -1045,6 +1065,7 @@ mod tests {
     #[test]
     fn sharded_sweeps_union_to_the_full_grid() {
         use consensus_lab::store::TIMING_FIELDS;
+        let _serial = serial();
         let app = app();
         let full = app.handle(&request(
             "POST",
@@ -1086,6 +1107,7 @@ mod tests {
 
     #[test]
     fn malformed_shards_are_typed_400s() {
+        let _serial = serial();
         let app = app();
         for (body, fragment) in [
             (r#"{"catalog":true,"max_depth":1,"shard":"2/2"}"#, "bad-shard"),
@@ -1101,6 +1123,7 @@ mod tests {
 
     #[test]
     fn journal_segment_without_a_cache_is_disabled() {
+        let _serial = serial();
         let app = app();
         let response = app.handle(&request("GET", "/v1/journal/segment", ""));
         assert_eq!(response.status, 200, "{}", response.body);
@@ -1116,6 +1139,7 @@ mod tests {
 
     #[test]
     fn catalog_health_metrics_and_routing() {
+        let _serial = serial();
         let app = app();
         let response = app.handle(&request("GET", "/v1/catalog", ""));
         assert_eq!(response.status, 200);
@@ -1162,6 +1186,7 @@ mod tests {
 
     #[test]
     fn stats_returns_the_registry_snapshot() {
+        let _serial = serial();
         let app = app();
         // One answered query populates the obs registry stage histograms.
         let response = app.handle(&request(
@@ -1192,6 +1217,7 @@ mod tests {
 
     #[test]
     fn request_id_is_echoed_or_generated() {
+        let _serial = serial();
         let app = app();
         // Supplied: propagated verbatim.
         let mut req = request("GET", "/healthz", "");
@@ -1220,9 +1246,8 @@ mod tests {
 
     #[test]
     fn trace_endpoint_serves_a_nondestructive_cursor_fragment() {
+        let _serial = serial();
         let app = app();
-        // The tracer is process-global: serialize against other tests via
-        // the disable/drain preamble and a fresh read of our own spans.
         tracer().disable();
         let _ = tracer().drain();
         tracer().enable();
@@ -1265,6 +1290,7 @@ mod tests {
 
     #[test]
     fn remote_trace_context_is_recorded_for_stitching() {
+        let _serial = serial();
         let app = app();
         tracer().disable();
         let _ = tracer().drain();
@@ -1299,6 +1325,7 @@ mod tests {
 
     #[test]
     fn metrics_renders_prometheus_on_request() {
+        let _serial = serial();
         let app = app();
         assert_eq!(app.handle(&request("GET", "/healthz", "")).status, 200);
         let response = app.handle(&request("GET", "/metrics?format=prometheus", ""));

@@ -281,6 +281,7 @@ fn write(writer: &mut impl Write, response: &Response, keep_alive: bool) -> std:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::tests::serial;
     use crate::client::Client;
     use consensus_lab::session::Session;
 
@@ -291,6 +292,7 @@ mod tests {
 
     #[test]
     fn serves_keep_alive_requests_on_one_connection() {
+        let _serial = serial();
         let server = start(2);
         let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
         for _ in 0..3 {
@@ -310,6 +312,7 @@ mod tests {
 
     #[test]
     fn answers_in_flight_then_refuses_after_stop() {
+        let _serial = serial();
         let server = start(1);
         let addr = server.local_addr().to_string();
         let mut client = Client::connect(&addr).unwrap();
@@ -327,6 +330,7 @@ mod tests {
     #[test]
     fn malformed_requests_get_a_400_and_a_closed_connection() {
         use std::io::{Read, Write};
+        let _serial = serial();
         let server = start(1);
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.write_all(b"total nonsense\r\n\r\n").unwrap();

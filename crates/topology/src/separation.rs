@@ -59,16 +59,15 @@ pub fn label_components<L: Clone + Eq + std::hash::Hash>(
     out
 }
 
-/// The separation verdict for a labeled component partition.
+/// The separation verdict for a labeled component partition: the mixed
+/// components only. [`label_components`] classifies every component.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SeparationReport<L> {
-    /// Component ids whose labels are mixed.
+pub struct SeparationReport {
+    /// Component ids whose labels are mixed, ascending.
     pub mixed_components: Vec<usize>,
-    /// For each component, its label class.
-    pub labels: Vec<ComponentLabel<L>>,
 }
 
-impl<L> SeparationReport<L> {
+impl SeparationReport {
     /// Whether the labeled classes are separated (no mixed component).
     pub fn is_separated(&self) -> bool {
         self.mixed_components.is_empty()
@@ -79,15 +78,14 @@ impl<L> SeparationReport<L> {
 pub fn check_separation<L: Clone + Eq + std::hash::Hash>(
     comps: &Components,
     labels: &HashMap<usize, L>,
-) -> SeparationReport<L> {
-    let labels = label_components(comps, labels);
-    let mixed_components = labels
+) -> SeparationReport {
+    let mixed_components = label_components(comps, labels)
         .iter()
         .enumerate()
         .filter(|(_, l)| l.is_mixed())
         .map(|(c, _)| c)
         .collect();
-    SeparationReport { mixed_components, labels }
+    SeparationReport { mixed_components }
 }
 
 /// Complete a separated labeling into a total assignment (meta-procedure
@@ -126,11 +124,11 @@ mod tests {
     #[test]
     fn pure_labeling_separated() {
         let labels: HashMap<usize, u32> = [(0, 10), (1, 10), (3, 20)].into();
-        let rep = check_separation(&comps(), &labels);
-        assert!(rep.is_separated());
-        assert_eq!(rep.labels[0], ComponentLabel::Pure(10));
-        assert_eq!(rep.labels[1], ComponentLabel::Unlabeled);
-        assert_eq!(rep.labels[2], ComponentLabel::Pure(20));
+        assert!(check_separation(&comps(), &labels).is_separated());
+        let classes = label_components(&comps(), &labels);
+        assert_eq!(classes[0], ComponentLabel::Pure(10));
+        assert_eq!(classes[1], ComponentLabel::Unlabeled);
+        assert_eq!(classes[2], ComponentLabel::Pure(20));
     }
 
     #[test]
@@ -139,7 +137,7 @@ mod tests {
         let rep = check_separation(&comps(), &labels);
         assert!(!rep.is_separated());
         assert_eq!(rep.mixed_components, vec![0]);
-        assert!(rep.labels[0].is_mixed());
+        assert!(label_components(&comps(), &labels)[0].is_mixed());
     }
 
     #[test]
@@ -159,8 +157,7 @@ mod tests {
     #[test]
     fn duplicate_labels_single_class() {
         let labels: HashMap<usize, u32> = [(3, 7), (4, 7)].into();
-        let rep = check_separation(&comps(), &labels);
-        assert!(rep.is_separated());
-        assert_eq!(rep.labels[2], ComponentLabel::Pure(7));
+        assert!(check_separation(&comps(), &labels).is_separated());
+        assert_eq!(label_components(&comps(), &labels)[2], ComponentLabel::Pure(7));
     }
 }
