@@ -54,7 +54,7 @@ impl ConcatMA {
     /// `prefix` follow the word.
     fn follows_word(&self, prefix: &GraphSeq) -> bool {
         (1..=prefix.rounds().min(self.word.rounds()))
-            .all(|t| prefix.graph(t).normalized() == *self.word.graph(t))
+            .all(|t| *crate::normal_form(prefix.graph(t)) == *self.word.graph(t))
     }
 
     /// `prefix` with the first `k` rounds dropped.
@@ -69,14 +69,18 @@ impl MessageAdversary for ConcatMA {
     }
 
     fn extensions(&self, prefix: &GraphSeq) -> Vec<Digraph> {
-        if !self.admits_prefix(prefix) {
+        if !self.follows_word(prefix) {
             return Vec::new();
         }
         let k = self.word.rounds();
-        if prefix.rounds() < k {
+        if prefix.rounds() >= k {
+            // The tail's extensions are empty unless it admits the shifted
+            // prefix, so that is not checked here first.
+            self.tail.extensions(&Self::shifted(prefix, k))
+        } else if self.tail.admits_prefix(&GraphSeq::new()) {
             vec![self.word.graph(prefix.rounds() + 1).clone()]
         } else {
-            self.tail.extensions(&Self::shifted(prefix, k))
+            Vec::new()
         }
     }
 

@@ -175,72 +175,79 @@ impl GeneralMA {
 
     /// Whether every graph of `prefix` is drawn from the pool.
     fn pool_valid(&self, prefix: &GraphSeq) -> bool {
-        prefix.iter().all(|g| self.pool.contains(&g.normalized()))
+        prefix.iter().all(|g| self.pool.contains(&crate::normal_form(g)))
     }
 
     /// Whether the liveness is *still achievable* given `prefix` (assuming
     /// unconstrained pool choices afterwards, subject to the deadline).
     fn liveness_achievable(&self, prefix: &GraphSeq) -> bool {
-        let t = prefix.rounds();
         match (&self.liveness, self.deadline) {
             (Liveness::None, _) => true,
             (_, None) => self.liveness_eventually_achievable(),
             (Liveness::OccursGraph { target }, Some(r)) => {
                 let within = prefix.iter().take(r).any(|g| g == target);
-                within || t < r
+                within || prefix.rounds() < r
             }
             (Liveness::StableWindow { window }, Some(r)) => {
-                // Look for a start s ≤ r − window + 1 such that the played
-                // part of the window is stable-compatible and the unplayed
-                // part can be filled from the pool.
-                if *window == 0 {
-                    return true;
-                }
-                if r < *window {
-                    return false;
-                }
                 let masks: Vec<Option<PidMask>> = prefix.iter().map(scc::rooted_source).collect();
-                'starts: for s in 0..=(r - *window) {
-                    // Window rounds are s+1 ..= s+window (1-based).
-                    let mut required: Option<PidMask> = None;
-                    let mut needs_future = false;
-                    for round in (s + 1)..=(s + *window) {
-                        if round <= t {
-                            let m = match masks[round - 1] {
-                                Some(m) => m,
-                                None => continue 'starts,
-                            };
-                            match required {
-                                None => required = Some(m),
-                                Some(req) if req == m => {}
-                                Some(_) => continue 'starts,
-                            }
-                        } else {
-                            needs_future = true;
-                        }
-                    }
-                    if needs_future {
-                        // The pool must supply a graph with the required mask
-                        // (or any rooted graph if the window hasn't started).
-                        match required {
-                            Some(req) => {
-                                if self.pool.iter().any(|g| scc::rooted_source(g) == Some(req)) {
-                                    return true;
-                                }
-                            }
-                            None => {
-                                if self.pool.iter().any(|g| g.is_rooted()) {
-                                    return true;
-                                }
-                            }
-                        }
-                    } else {
-                        return true; // fully played, stable window found
-                    }
-                }
-                false
+                self.window_achievable(&masks, *window, r)
             }
         }
+    }
+
+    /// [`liveness_achievable`](Self::liveness_achievable) of a stable-window
+    /// liveness with deadline `r`, given the rooted-source masks of the
+    /// prefix's rounds.
+    fn window_achievable(&self, masks: &[Option<PidMask>], window: usize, r: Round) -> bool {
+        // Look for a start s ≤ r − window + 1 such that the played part of
+        // the window is stable-compatible and the unplayed part can be
+        // filled from the pool.
+        if window == 0 {
+            return true;
+        }
+        if r < window {
+            return false;
+        }
+        let t = masks.len();
+        'starts: for s in 0..=(r - window) {
+            // Window rounds are s+1 ..= s+window (1-based).
+            let mut required: Option<PidMask> = None;
+            let mut needs_future = false;
+            for round in (s + 1)..=(s + window) {
+                if round <= t {
+                    let m = match masks[round - 1] {
+                        Some(m) => m,
+                        None => continue 'starts,
+                    };
+                    match required {
+                        None => required = Some(m),
+                        Some(req) if req == m => {}
+                        Some(_) => continue 'starts,
+                    }
+                } else {
+                    needs_future = true;
+                }
+            }
+            if needs_future {
+                // The pool must supply a graph with the required mask
+                // (or any rooted graph if the window hasn't started).
+                match required {
+                    Some(req) => {
+                        if self.pool.iter().any(|g| scc::rooted_source(g) == Some(req)) {
+                            return true;
+                        }
+                    }
+                    None => {
+                        if self.pool.iter().any(|g| g.is_rooted()) {
+                            return true;
+                        }
+                    }
+                }
+            } else {
+                return true; // fully played, stable window found
+            }
+        }
+        false
     }
 
     /// Whether the liveness can be satisfied at all by pool choices (the
@@ -265,14 +272,36 @@ impl MessageAdversary for GeneralMA {
         if !self.admits_prefix(prefix) {
             return Vec::new();
         }
-        self.pool
-            .iter()
-            .filter(|g| {
-                let ext = prefix.extended((*g).clone());
-                self.pool_valid(&ext) && self.liveness_achievable(&ext)
-            })
-            .cloned()
-            .collect()
+        // A pool graph g now extends the prefix iff the liveness is still
+        // achievable on prefix · g: pool validity follows, as pool graphs
+        // are normalized pool members. Each g is tested without building
+        // prefix · g.
+        let t = prefix.rounds();
+        match (&self.liveness, self.deadline) {
+            (Liveness::None, _) | (_, None) => self.pool.clone(),
+            (Liveness::OccursGraph { target }, Some(r)) => {
+                let within = prefix.iter().take(r).any(|g| g == target);
+                self.pool
+                    .iter()
+                    .filter(|&g| within || (t < r && g == target) || t + 1 < r)
+                    .cloned()
+                    .collect()
+            }
+            (Liveness::StableWindow { window }, Some(r)) => {
+                let mut masks: Vec<Option<PidMask>> =
+                    prefix.iter().map(scc::rooted_source).collect();
+                self.pool
+                    .iter()
+                    .filter(|&g| {
+                        masks.push(scc::rooted_source(g));
+                        let achievable = self.window_achievable(&masks, *window, r);
+                        masks.pop();
+                        achievable
+                    })
+                    .cloned()
+                    .collect()
+            }
+        }
     }
 
     fn admits_prefix(&self, prefix: &GraphSeq) -> bool {

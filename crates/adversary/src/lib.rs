@@ -60,7 +60,20 @@ pub use predicate::{IntersectMA, PredicateMA};
 pub use spec::SpecTerm;
 pub use union::UnionMA;
 
+use std::borrow::Cow;
+
 use dyngraph::{Digraph, GraphSeq, Lasso};
+
+/// `g` without self-loops, borrowed when it has none: pools and words
+/// hold normalized graphs, and so does every prefix the enumeration
+/// builds from them.
+pub(crate) fn normal_form(g: &Digraph) -> Cow<'_, Digraph> {
+    if g.is_normalized() {
+        Cow::Borrowed(g)
+    } else {
+        Cow::Owned(g.normalized())
+    }
+}
 
 /// A boxed, thread-shareable adversary — the currency of the catalog
 /// registry and the lab's scenario grids.
@@ -73,7 +86,7 @@ pub type DynMA = Box<dyn MessageAdversary + Send + Sync>;
 /// * [`admits_prefix`](Self::admits_prefix) is `true` iff the finite prefix
 ///   extends to at least one admissible infinite sequence;
 /// * [`extensions`](Self::extensions) returns exactly the graphs `g` with
-///   `admits_prefix(prefix · g)`;
+///   `admits_prefix(prefix · g)`, and nothing unless `admits_prefix(prefix)`;
 /// * [`admits_lasso`](Self::admits_lasso) decides membership of an
 ///   ultimately periodic sequence, when the implementation can
 ///   (`None` = cannot decide);
@@ -85,7 +98,12 @@ pub trait MessageAdversary {
     fn n(&self) -> usize;
 
     /// The graphs that may be played next after `prefix` while staying
-    /// admissible.
+    /// admissible: as a set, exactly the graphs `g` with
+    /// `admits_prefix(prefix · g)`.
+    ///
+    /// The result is empty unless `admits_prefix(prefix)`. Combinators rely
+    /// on this: [`ConcatMA`] asks its tail for extensions without checking
+    /// the shifted prefix first.
     fn extensions(&self, prefix: &GraphSeq) -> Vec<Digraph>;
 
     /// Whether `prefix` is the prefix of some admissible infinite sequence.
@@ -127,6 +145,40 @@ pub trait MessageAdversary {
 }
 
 impl<T: MessageAdversary + ?Sized> MessageAdversary for Box<T> {
+    fn n(&self) -> usize {
+        (**self).n()
+    }
+
+    fn extensions(&self, prefix: &GraphSeq) -> Vec<Digraph> {
+        (**self).extensions(prefix)
+    }
+
+    fn admits_prefix(&self, prefix: &GraphSeq) -> bool {
+        (**self).admits_prefix(prefix)
+    }
+
+    fn admits_lasso(&self, lasso: &Lasso) -> Option<bool> {
+        (**self).admits_lasso(lasso)
+    }
+
+    fn is_compact(&self) -> bool {
+        (**self).is_compact()
+    }
+
+    fn describe(&self) -> String {
+        (**self).describe()
+    }
+
+    fn pool_hint(&self) -> Option<Vec<Digraph>> {
+        (**self).pool_hint()
+    }
+
+    fn fingerprint(&self) -> u64 {
+        (**self).fingerprint()
+    }
+}
+
+impl<T: MessageAdversary + ?Sized> MessageAdversary for &T {
     fn n(&self) -> usize {
         (**self).n()
     }

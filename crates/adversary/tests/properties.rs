@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use adversary::{enumerate, GeneralMA, Liveness, MessageAdversary};
+use adversary::{enumerate, ConcatMA, GeneralMA, Liveness, MessageAdversary, SpecTerm};
 use dyngraph::{Digraph, GraphSeq, Lasso};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -49,25 +49,190 @@ fn oblivious_tree_is_product() {
     }
 }
 
-/// Extension contract: `extensions` returns exactly the pool graphs `g`
-/// with `admits_prefix(prefix · g)`.
+/// Every normalized graph on `n` processes, in code order.
+fn all_graphs(n: usize) -> Vec<Digraph> {
+    let graphs: BTreeSet<Digraph> =
+        (0..1u64 << (n * n)).map(|c| Digraph::from_code(n, c)).collect();
+    graphs.into_iter().collect()
+}
+
+/// Every word over `graphs` of at most `depth` rounds, the empty one
+/// included.
+fn all_words(graphs: &[Digraph], depth: usize) -> Vec<GraphSeq> {
+    let mut words = vec![GraphSeq::new()];
+    let mut layer = words.clone();
+    for _ in 0..depth {
+        layer = layer
+            .iter()
+            .flat_map(|w| graphs.iter().map(|g| w.extended(g.clone())))
+            .collect();
+        words.extend(layer.iter().cloned());
+    }
+    words
+}
+
+/// The extension contract, on every word of at most `depth` rounds over
+/// all normalized graphs: `extensions(p)` lists exactly
+/// `{g : admits_prefix(p · g)}`, each graph once, and it is empty unless
+/// `admits_prefix(p)`. The oracle reads only `admits_prefix`, never
+/// `extensions`.
+fn assert_extension_contract(label: &str, ma: &dyn MessageAdversary, depth: usize) {
+    let graphs = all_graphs(ma.n());
+    for prefix in all_words(&graphs, depth) {
+        let exts = ma.extensions(&prefix);
+        if !ma.admits_prefix(&prefix) {
+            assert!(exts.is_empty(), "{label}: {prefix} is not admitted but extends by {exts:?}");
+        }
+        let got: BTreeSet<Digraph> = exts.iter().cloned().collect();
+        assert_eq!(got.len(), exts.len(), "{label}: duplicate extensions of {prefix}");
+        let admitted: BTreeSet<Digraph> = graphs
+            .iter()
+            .filter(|g| ma.admits_prefix(&prefix.extended((*g).clone())))
+            .cloned()
+            .collect();
+        assert_eq!(got, admitted, "{label}: extensions of {prefix}");
+    }
+}
+
+/// The contract's word depth for `n` processes: 4 for n = 2 (341 words),
+/// 1 for n = 3 (65 words over 64 graphs).
+fn contract_depth(n: usize) -> usize {
+    if n <= 2 {
+        4
+    } else {
+        1
+    }
+}
+
+const ARROWS: [&str; 4] = [".", "->", "<-", "<->"];
+const CATALOG_LEAVES: [&str; 4] = [
+    "sw-lossy-link",
+    "cgp-reduced-lossy-link",
+    "vssc-2-1-by-2",
+    "eventually-bidirectional",
+];
+
+/// A random n = 2 spec term, nested at most `nest` deep, over all seven
+/// combinators; `eventually` and `window` come with and without a
+/// deadline. Each construct used is added to `used`.
+fn arb_term(rng: &mut StdRng, nest: usize, used: &mut BTreeSet<&'static str>) -> String {
+    let pool_word = |rng: &mut StdRng| -> Vec<&'static str> {
+        let mask = rng.random_range(1..16usize);
+        (0..4).filter(|b| mask & (1 << b) != 0).map(|b| ARROWS[b]).collect()
+    };
+    let pick = if nest == 0 {
+        rng.random_range(0..4usize)
+    } else {
+        rng.random_range(0..7usize)
+    };
+    match pick {
+        0 => {
+            used.insert("pool");
+            format!("pool({})", pool_word(rng).join(" "))
+        }
+        1 => {
+            let word = pool_word(rng);
+            let target = word[rng.random_range(0..word.len())];
+            if rng.random_bool(0.5) {
+                used.insert("eventually-by");
+                format!(
+                    "eventually({}, {target}, by={})",
+                    word.join(" "),
+                    rng.random_range(1..5usize)
+                )
+            } else {
+                used.insert("eventually");
+                format!("eventually({}, {target})", word.join(" "))
+            }
+        }
+        2 => {
+            let window = rng.random_range(1..3usize);
+            let word = pool_word(rng).join(" ");
+            if rng.random_bool(0.5) {
+                used.insert("window-by");
+                format!("window({word}, {window}, by={})", window + rng.random_range(0..3usize))
+            } else {
+                used.insert("window");
+                format!("window({word}, {window})")
+            }
+        }
+        3 => {
+            used.insert("catalog");
+            format!("catalog({})", CATALOG_LEAVES[rng.random_range(0..CATALOG_LEAVES.len())])
+        }
+        4 => {
+            used.insert("union");
+            let members: Vec<String> = (0..rng.random_range(2..4usize))
+                .map(|_| arb_term(rng, nest - 1, used))
+                .collect();
+            format!("union({})", members.join(", "))
+        }
+        5 => {
+            used.insert("intersect");
+            format!(
+                "intersect({}, {})",
+                arb_term(rng, nest - 1, used),
+                arb_term(rng, nest - 1, used)
+            )
+        }
+        _ => {
+            used.insert("prefix");
+            let word: Vec<&str> = (0..rng.random_range(1..3usize))
+                .map(|_| ARROWS[rng.random_range(0..4usize)])
+                .collect();
+            format!("prefix({}, {})", word.join(" "), arb_term(rng, nest - 1, used))
+        }
+    }
+}
+
+/// Extension contract (see [`assert_extension_contract`]) for every
+/// catalog entry, a word before a dead tail, random deadline pools, and a
+/// seeded family of 150 composed spec terms that lower.
 #[test]
 fn extensions_match_admissibility() {
+    for entry in adversary::catalog::entries() {
+        let ma = entry.build();
+        assert_extension_contract(entry.name, &ma, contract_depth(ma.n()));
+    }
+    // A forced word before a tail that admits no sequence at all (its
+    // liveness target is outside its pool), which no spec term lowers to.
+    let right = Digraph::parse2("->").unwrap();
+    let dead = GeneralMA::eventually_graph(vec![right], Digraph::parse2("<-").unwrap(), None);
+    let ma = ConcatMA::new(GraphSeq::parse2("<-> ->").unwrap(), Box::new(dead));
+    assert_extension_contract(&ma.describe(), &ma, contract_depth(2));
+
     let mut rng = StdRng::seed_from_u64(0xAD02);
     for _ in 0..CASES {
         let pool = arb_pool(&mut rng, 2, 4);
-        let word = arb_word(&mut rng, 4, 4);
         let deadline = rng.random_range(1..4usize);
         let target = pool[0].clone();
-        let ma = GeneralMA::eventually_graph(pool.clone(), target, Some(deadline));
-        // Build a prefix from pool indices (may be inadmissible).
-        let prefix: GraphSeq = word.iter().map(|&i| pool[i % pool.len()].clone()).collect();
-        let exts = ma.extensions(&prefix);
-        for g in &pool {
-            let admitted = ma.admits_prefix(&prefix.extended(g.clone()));
-            assert_eq!(exts.contains(&g.normalized()), admitted, "graph {g} after {prefix}");
-        }
+        let ma = GeneralMA::eventually_graph(pool, target, Some(deadline));
+        assert_extension_contract(&ma.describe(), &ma, contract_depth(2));
     }
+
+    let mut covered = BTreeSet::new();
+    let mut kept = 0;
+    while kept < 150 {
+        let mut used = BTreeSet::new();
+        let text = arb_term(&mut rng, 2, &mut used);
+        let term = SpecTerm::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        let Ok(ma) = term.lower() else { continue };
+        assert_extension_contract(&text, &ma, contract_depth(ma.n()));
+        covered.extend(used);
+        kept += 1;
+    }
+    let all = [
+        "catalog",
+        "pool",
+        "eventually",
+        "eventually-by",
+        "window",
+        "window-by",
+        "union",
+        "intersect",
+        "prefix",
+    ];
+    assert_eq!(covered, all.into_iter().collect(), "the family covers every construct");
 }
 
 /// Deadline monotonicity: admissibility under deadline R implies

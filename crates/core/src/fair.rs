@@ -162,44 +162,57 @@ impl EpsilonChain {
 /// BFS a shortest ε-chain from run `from` to run `to` in the prefix space
 /// (links = shared `(process, view-at-depth)` buckets). `None` if the runs
 /// are in different components.
+///
+/// A view determines its owner, so a bucket is keyed by the dense view id
+/// alone: the runs holding each view, in run order, sit in one flat array
+/// (a count pass, a prefix sum, a fill pass), and the BFS predecessors in
+/// one vector indexed by run.
 pub fn epsilon_chain(space: &PrefixSpace, from: usize, to: usize) -> Option<EpsilonChain> {
-    use std::collections::{HashMap, VecDeque};
     let depth = space.depth();
     if space.components().component_of(from) != space.components().component_of(to) {
         return None;
     }
-    // bucket -> member runs
-    let mut buckets: HashMap<(Pid, ptgraph::ViewId), Vec<usize>> = HashMap::new();
-    for (i, run) in space.runs().iter().enumerate() {
-        for p in 0..run.n() {
-            buckets.entry((p, run.view(p, depth))).or_default().push(i);
+    let runs = space.runs();
+    // `bounds[v]..bounds[v + 1]` is view v's bucket in `members`.
+    let mut bounds = vec![0usize; space.table().len() + 1];
+    for run in runs {
+        for v in run.views_at(depth) {
+            bounds[v.index() + 1] += 1;
         }
     }
-    let mut prev: HashMap<usize, (usize, Pid)> = HashMap::new();
-    let mut queue = VecDeque::from([from]);
-    prev.insert(from, (from, 0));
+    for v in 1..bounds.len() {
+        bounds[v] += bounds[v - 1];
+    }
+    let mut next = bounds.clone();
+    let mut members = vec![0usize; bounds[bounds.len() - 1]];
+    for (i, run) in runs.iter().enumerate() {
+        for v in run.views_at(depth) {
+            members[next[v.index()]] = i;
+            next[v.index()] += 1;
+        }
+    }
+    let mut prev: Vec<Option<(usize, Pid)>> = vec![None; runs.len()];
+    let mut queue = std::collections::VecDeque::from([from]);
+    prev[from] = Some((from, 0));
     while let Some(i) = queue.pop_front() {
         if i == to {
             break;
         }
-        let run = &space.runs()[i];
-        for p in 0..run.n() {
-            for &j in &buckets[&(p, run.view(p, depth))] {
-                if let std::collections::hash_map::Entry::Vacant(e) = prev.entry(j) {
-                    e.insert((i, p));
+        for (p, v) in runs[i].views_at(depth).iter().enumerate() {
+            for &j in &members[bounds[v.index()]..bounds[v.index() + 1]] {
+                if prev[j].is_none() {
+                    prev[j] = Some((i, p));
                     queue.push_back(j);
                 }
             }
         }
     }
-    if !prev.contains_key(&to) {
-        return None;
-    }
+    prev[to]?;
     // Reconstruct.
     let mut rev = Vec::new();
     let mut cur = to;
     while cur != from {
-        let (par, p) = prev[&cur];
+        let (par, p) = prev[cur].expect("every run on the BFS tree has a predecessor");
         rev.push(EpsilonLink { run: cur, shared_view_of: p });
         cur = par;
     }
@@ -344,6 +357,70 @@ mod tests {
             assert!(chain.links.len() >= prev_len, "chains should not shrink with depth");
             prev_len = chain.links.len();
         }
+    }
+
+    /// The ε-chain BFS over hash-map `(process, view)` buckets that the
+    /// dense-bucket search replaced, kept as its oracle.
+    fn hashed_epsilon_chain(space: &PrefixSpace, from: usize, to: usize) -> Option<EpsilonChain> {
+        use std::collections::{HashMap, VecDeque};
+        let depth = space.depth();
+        if space.components().component_of(from) != space.components().component_of(to) {
+            return None;
+        }
+        let mut buckets: HashMap<(Pid, ptgraph::ViewId), Vec<usize>> = HashMap::new();
+        for (i, run) in space.runs().iter().enumerate() {
+            for p in 0..run.n() {
+                buckets.entry((p, run.view(p, depth))).or_default().push(i);
+            }
+        }
+        let mut prev: HashMap<usize, (usize, Pid)> = HashMap::from([(from, (from, 0))]);
+        let mut queue = VecDeque::from([from]);
+        while let Some(i) = queue.pop_front() {
+            if i == to {
+                break;
+            }
+            let run = &space.runs()[i];
+            for p in 0..run.n() {
+                for &j in &buckets[&(p, run.view(p, depth))] {
+                    prev.entry(j).or_insert_with(|| {
+                        queue.push_back(j);
+                        (i, p)
+                    });
+                }
+            }
+        }
+        prev.get(&to)?;
+        let mut links = Vec::new();
+        let mut cur = to;
+        while cur != from {
+            let (par, p) = prev[&cur];
+            links.push(EpsilonLink { run: cur, shared_view_of: p });
+            cur = par;
+        }
+        links.reverse();
+        Some(EpsilonChain { start: from, links, depth })
+    }
+
+    /// The dense search returns the hashed search's chain, link for link,
+    /// from the first 0-valent run to runs spread over each catalog space.
+    #[test]
+    fn dense_search_finds_the_hashed_search_chain() {
+        let mut chains = 0;
+        for entry in adversary::catalog::entries() {
+            let ma = entry.build();
+            for depth in 0..=4 {
+                let space = PrefixSpace::expand(&*ma, &[0, 1], depth, &CFG).unwrap();
+                let runs = space.runs().len();
+                let from = space.runs().iter().position(|r| r.is_valent(0)).unwrap();
+                for to in (0..runs).step_by((runs / 24).max(1)) {
+                    let dense = epsilon_chain(&space, from, to);
+                    let at = format!("{}@{depth}: {from} → {to}", entry.name);
+                    assert_eq!(dense, hashed_epsilon_chain(&space, from, to), "{at}");
+                    chains += usize::from(dense.is_some_and(|c| !c.links.is_empty()));
+                }
+            }
+        }
+        assert!(chains >= 200, "only {chains} nontrivial chains compared");
     }
 
     #[test]

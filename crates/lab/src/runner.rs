@@ -6,22 +6,29 @@
 //! environment is registry-less — see `crates/compat/README.md`). Results
 //! land in per-index slots, so the output order is the grid order no matter
 //! how the scheduling interleaves: identical grids produce identical result
-//! files (modulo wall-clock fields).
+//! files (modulo wall-clock fields). A batch with one worker runs on the
+//! caller's thread.
 //!
-//! All space-hungry analyses pull their [`consensus_core::PrefixSpace`]s
+//! Each distinct adversary spec of a batch is built once, before the
+//! workers start, and every scenario of that spec borrows the build. All
+//! space-hungry analyses pull their [`consensus_core::PrefixSpace`]s
 //! through the shared
 //! [`SpaceCache`], so one *(adversary, depth)* expansion serves every
 //! analysis that needs it.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use adversary::catalog::ExpectedOutcome;
+use adversary::{DynMA, MessageAdversary};
 use consensus_core::config::{AnalysisConfig, ExpandConfig};
 use consensus_core::solvability::{SolvabilityChecker, UnsolvableCert, Verdict};
 use consensus_core::{analysis, broadcast, fair, Certificate, UniversalAlgorithm};
-use consensus_obs::metrics::registry;
+use consensus_obs::metrics::{registry, Histogram};
 use consensus_obs::trace::tracer;
+use dyngraph::{Digraph, GraphSeq, Lasso};
 use ptgraph::Value;
 use simulator::algorithms::FloodMin;
 use simulator::checker;
@@ -29,7 +36,7 @@ use simulator::checker;
 use crate::cache::{CacheStats, ExpandTotals, SpaceCache};
 use crate::json::Value as Json;
 use crate::persist::{persistable, DiskCache, DiskEntry};
-use crate::scenario::{AnalysisKind, Scenario};
+use crate::scenario::{AdversarySpec, AnalysisKind, Scenario};
 use crate::store::{Outcome, ResultStore, ScenarioRecord};
 
 /// The input domain used by sweeps (binary consensus, as throughout the
@@ -153,39 +160,49 @@ impl SweepRunner {
         disk: Option<&DiskCache>,
     ) -> SweepReport {
         let start = Instant::now();
+        // Each distinct spec is built once; its scenarios borrow the build.
+        let mut distinct: HashMap<&AdversarySpec, usize> = HashMap::new();
+        let mut builds: Vec<Result<BuiltAdversary, String>> = Vec::new();
+        let build_of: Vec<usize> = entries
+            .iter()
+            .map(|(_, scenario)| {
+                *distinct.entry(&scenario.spec).or_insert_with(|| {
+                    builds.push(BuiltAdversary::build(&scenario.spec));
+                    builds.len() - 1
+                })
+            })
+            .collect();
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<ScenarioRecord>>> =
             entries.iter().map(|_| Mutex::new(None)).collect();
 
-        // Workers run on their own threads: parent their analysis spans
-        // to the caller's innermost span (the session's `sweep`).
+        // Workers on their own threads parent their analysis spans to the
+        // caller's innermost span (the session's `sweep`), as does a lone
+        // worker on the caller's thread.
         let span_parent = tracer().current_id();
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(entries.len().max(1)) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((index, scenario)) = entries.get(i) else {
-                        break;
-                    };
-                    let mut span =
-                        tracer().span_under(analysis_span_name(scenario.analysis), span_parent);
-                    let record = execute_scenario_cfg(
-                        *index,
-                        scenario,
-                        cache,
-                        disk,
-                        self.consult_disk,
-                        self.time_limit,
-                        &self.analysis,
-                    );
-                    span.set_attr("index", *index);
-                    span.set_attr("adversary", record.adversary.as_str());
-                    span.set_attr("depth", scenario.depth);
-                    span.set_attr("verdict", record.outcome.verdict.as_str());
-                    *slots[i].lock().expect("slot lock poisoned") = Some(record);
-                });
-            }
-        });
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some((index, scenario)) = entries.get(i) else {
+                break;
+            };
+            let mut span = tracer().span_under(analysis_span_name(scenario.analysis), span_parent);
+            let record = execute_built(*index, scenario, &builds[build_of[i]], cache, disk, self);
+            span.set_attr("index", *index);
+            span.set_attr("adversary", record.adversary.as_str());
+            span.set_attr("depth", scenario.depth);
+            span.set_attr("verdict", record.outcome.verdict.as_str());
+            *slots[i].lock().expect("slot lock poisoned") = Some(record);
+        };
+        let workers = self.threads.min(entries.len().max(1));
+        if workers == 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(work);
+                }
+            });
+        }
 
         let records: Vec<ScenarioRecord> = slots
             .into_iter()
@@ -298,23 +315,101 @@ pub fn execute_scenario_with(
     disk: Option<&DiskCache>,
     time_limit: Option<Duration>,
 ) -> ScenarioRecord {
-    execute_scenario_cfg(index, scenario, cache, disk, true, time_limit, &AnalysisConfig::default())
+    let runner = SweepRunner {
+        threads: 1,
+        time_limit,
+        analysis: AnalysisConfig::default(),
+        consult_disk: true,
+    };
+    execute_built(index, scenario, &BuiltAdversary::build(&scenario.spec), cache, disk, &runner)
 }
 
-/// The full execution seam used by the `Session` facade and the runner:
-/// `consult_disk` gates *answering* from the journal (stores always
-/// happen), and `analysis` configures every solvability checker spawned.
-pub(crate) fn execute_scenario_cfg(
+/// Registry histogram of per-scenario analysis wall time (nanoseconds);
+/// the handle is cached so a sweep pays no registry lock per scenario.
+fn stage_analysis() -> &'static Arc<Histogram> {
+    static HIST: OnceLock<Arc<Histogram>> = OnceLock::new();
+    HIST.get_or_init(|| registry().histogram("stage.analysis"))
+}
+
+/// A scenario's adversary, built once per batch from its spec, with the
+/// record fields derived from it. The scenarios of one spec borrow it, and
+/// its [`fingerprint`](MessageAdversary::fingerprint) is the stored one,
+/// so cache lookups, ladder rungs and the solvability depth sweep do not
+/// hash the adversary again. Every other method forwards.
+struct BuiltAdversary {
+    ma: DynMA,
+    fingerprint: u64,
+    label: String,
+    describe: String,
+    n: usize,
+    compact: bool,
+    expected: Option<ExpectedOutcome>,
+}
+
+impl BuiltAdversary {
+    /// Build `spec`, or the message of its build error.
+    fn build(spec: &AdversarySpec) -> Result<Self, String> {
+        let ma = spec.build().map_err(|e| e.to_string())?;
+        Ok(BuiltAdversary {
+            fingerprint: ma.fingerprint(),
+            label: spec.label(),
+            describe: ma.describe(),
+            n: ma.n(),
+            compact: ma.is_compact(),
+            expected: spec.expected(),
+            ma,
+        })
+    }
+}
+
+impl MessageAdversary for BuiltAdversary {
+    fn n(&self) -> usize {
+        self.ma.n()
+    }
+
+    fn extensions(&self, prefix: &GraphSeq) -> Vec<Digraph> {
+        self.ma.extensions(prefix)
+    }
+
+    fn admits_prefix(&self, prefix: &GraphSeq) -> bool {
+        self.ma.admits_prefix(prefix)
+    }
+
+    fn admits_lasso(&self, lasso: &Lasso) -> Option<bool> {
+        self.ma.admits_lasso(lasso)
+    }
+
+    fn is_compact(&self) -> bool {
+        self.ma.is_compact()
+    }
+
+    fn describe(&self) -> String {
+        self.ma.describe()
+    }
+
+    fn pool_hint(&self) -> Option<Vec<Digraph>> {
+        self.ma.pool_hint()
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+}
+
+/// Execute one scenario on its spec's batch build, under `runner`'s
+/// settings: `consult_disk` gates *answering* from the journal (stores
+/// always happen), and `analysis` configures every solvability checker
+/// spawned.
+fn execute_built(
     index: usize,
     scenario: &Scenario,
+    built: &Result<BuiltAdversary, String>,
     cache: &SpaceCache,
     disk: Option<&DiskCache>,
-    consult_disk: bool,
-    time_limit: Option<Duration>,
-    analysis_cfg: &AnalysisConfig,
+    runner: &SweepRunner,
 ) -> ScenarioRecord {
     let start = Instant::now();
-    let ma = match scenario.spec.build() {
+    let ma = match built {
         Ok(ma) => ma,
         Err(e) => {
             return ScenarioRecord {
@@ -326,7 +421,7 @@ pub(crate) fn execute_scenario_cfg(
                 compact: false,
                 depth: scenario.depth,
                 analysis: scenario.analysis,
-                outcome: Outcome::tag("error").with("error", Json::Str(e.to_string())),
+                outcome: Outcome::tag("error").with("error", Json::Str(e.clone())),
                 expected: None,
                 matches_expected: None,
                 certificate: None,
@@ -340,15 +435,15 @@ pub(crate) fn execute_scenario_cfg(
 
     let mut record = ScenarioRecord {
         index,
-        adversary: scenario.spec.label(),
-        describe: ma.describe(),
-        fingerprint: ma.fingerprint(),
-        n: ma.n(),
-        compact: ma.is_compact(),
+        adversary: ma.label.clone(),
+        describe: ma.describe.clone(),
+        fingerprint: ma.fingerprint,
+        n: ma.n,
+        compact: ma.compact,
         depth: scenario.depth,
         analysis: scenario.analysis,
         outcome: Outcome::tag("error"),
-        expected: scenario.spec.expected(),
+        expected: ma.expected,
         matches_expected: None,
         certificate: None,
         space: None,
@@ -357,8 +452,8 @@ pub(crate) fn execute_scenario_cfg(
         wall_ms: 0.0,
     };
 
-    let params = scenario_params(scenario.analysis, analysis_cfg);
-    if let Some(disk) = disk.filter(|_| consult_disk) {
+    let params = scenario_params(scenario.analysis, &runner.analysis);
+    if let Some(disk) = disk.filter(|_| runner.consult_disk) {
         if let Some(entry) = disk.lookup(
             record.fingerprint,
             SWEEP_VALUES,
@@ -392,7 +487,7 @@ pub(crate) fn execute_scenario_cfg(
         AnalysisKind::Solvability => {
             let checker = SolvabilityChecker::with_config(
                 ma,
-                analysis_cfg.max_depth(scenario.depth),
+                runner.analysis.max_depth(scenario.depth),
                 ExpandConfig::with_budget(scenario.max_runs),
             );
             let verdict = checker.check_via(cache);
@@ -436,7 +531,7 @@ pub(crate) fn execute_scenario_cfg(
             }
         }
         space_analysis => {
-            match cache.space_with_meta(&ma, SWEEP_VALUES, scenario.depth, scenario.max_runs) {
+            match cache.space_with_meta(ma, SWEEP_VALUES, scenario.depth, scenario.max_runs) {
                 Err(err) => {
                     record.outcome = Outcome::tag("budget-exceeded")
                         .with("needed_runs", Json::Int(err.needed as i64));
@@ -458,8 +553,8 @@ pub(crate) fn execute_scenario_cfg(
     }
 
     let elapsed = start.elapsed();
-    registry().histogram("stage.analysis").record_duration(elapsed);
-    if let Some(limit) = time_limit {
+    stage_analysis().record_duration(elapsed);
+    if let Some(limit) = runner.time_limit {
         if elapsed > limit {
             record.outcome.details.push(("timed_out".into(), Json::Bool(true)));
         }
@@ -687,25 +782,47 @@ mod tests {
         assert_eq!(stats.hits, 3);
     }
 
+    /// One worker runs inline and eight run on threads, both on one build
+    /// per spec; `execute_scenario` builds per call. All three agree, also
+    /// for a spec that fails to build and for two catalog entries that
+    /// share a fingerprint (`all-rooted-2` aliases `sw-lossy-link`).
     #[test]
     fn sweep_results_in_grid_order_any_thread_count() {
         let grid = GridBuilder::new(2, 2_000_000).over_specs(&[
             AdversarySpec::catalog("cgp-reduced-lossy-link"),
             AdversarySpec::catalog("sw-lossy-link"),
+            AdversarySpec::catalog("no-such-entry"),
+            AdversarySpec::catalog("all-rooted-2"),
         ]);
         let single = SweepRunner::new().workers(1).run(&grid, &SpaceCache::new());
         let multi = SweepRunner::new().workers(8).run(&grid, &SpaceCache::new());
-        let strip = |r: &SweepReport| {
-            r.store
-                .records()
+        let strip = |records: &[ScenarioRecord]| {
+            records
                 .iter()
                 .map(|rec| rec.to_json().without_keys(crate::store::TIMING_FIELDS))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(strip(&single), strip(&multi));
+        let cache = SpaceCache::new();
+        let per_scenario: Vec<ScenarioRecord> = grid
+            .iter()
+            .enumerate()
+            .map(|(i, scenario)| execute_scenario(i, scenario, &cache, None))
+            .collect();
+        assert_eq!(strip(single.store.records()), strip(&per_scenario));
+        assert_eq!(strip(multi.store.records()), strip(&per_scenario));
         for (i, rec) in multi.store.records().iter().enumerate() {
             assert_eq!(rec.index, i);
         }
+        let errors = per_scenario.iter().filter(|r| r.outcome.verdict == "error").count();
+        assert_eq!(errors, 2 * AnalysisKind::ALL.len(), "every no-such-entry scenario errs");
+        let fingerprint = |name: &str| {
+            per_scenario
+                .iter()
+                .find(|r| r.adversary == name)
+                .map(|r| r.fingerprint)
+                .unwrap()
+        };
+        assert_eq!(fingerprint("sw-lossy-link"), fingerprint("all-rooted-2"));
     }
 
     #[test]

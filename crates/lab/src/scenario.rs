@@ -82,7 +82,7 @@ impl fmt::Display for AnalysisKind {
 /// [`AdversarySpec::pool`] for the two historical shapes. The `Catalog` and
 /// `Pool` enum variants survive as deprecated shims for pre-redesign
 /// callers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AdversarySpec {
     /// A named entry of [`adversary::catalog::entries`].
     #[deprecated(

@@ -174,17 +174,20 @@ where
     finish(uf)
 }
 
+/// Number the union-find classes in first-seen point order.
 fn finish(mut uf: UnionFind) -> Components {
     let n = uf.len();
-    let mut remap: HashMap<usize, usize> = HashMap::new();
+    // The component of each root, `usize::MAX` until the root is seen.
+    let mut remap = vec![usize::MAX; n];
     let mut comp_of = Vec::with_capacity(n);
     let mut members: Vec<Vec<usize>> = Vec::new();
     for i in 0..n {
         let root = uf.find(i);
-        let c = *remap.entry(root).or_insert_with(|| {
+        if remap[root] == usize::MAX {
+            remap[root] = members.len();
             members.push(Vec::new());
-            members.len() - 1
-        });
+        }
+        let c = remap[root];
         comp_of.push(c);
         members[c].push(i);
     }
