@@ -10,15 +10,22 @@
 //!
 //! Admissible sequences are enumerated into a dense-ID [`SeqArena`] (one
 //! `(parent, graph)` node per prefix, flat round-offset table), so sequence
-//! identity is an index, never a hashed [`GraphSeq`]. Run computation —
-//! the dominant cost: interning `O(runs × n × depth)` views — is one pass
-//! over the runs in canonical order, so each [`ViewId`] is the view's
-//! first-intern position in that order. Fingerprint-keyed caches, the
-//! depth ladder and persisted verdicts all rely on that order.
+//! identity is an index, never a hashed [`GraphSeq`]. A view's shape depends
+//! only on the sequence, so the engine interns shapes once per sequence,
+//! into one [`ShapeRow`] that every input assignment's run over the
+//! sequence shares; a row is built from the row of its parent (or, from
+//! scratch, of its preceding sibling), interning only the new round. Runs
+//! are then handles — an input assignment and a row — and a view id is
+//! arithmetic on the two (see [`ptgraph::ViewTable`]).
 //!
-//! Each admissible sequence is stored once, behind an `Arc` that every run
-//! over it shares; runs with equal inputs share one inputs slice too. The
-//! first [`Expansion::sequence_count`] runs therefore list the admissible
+//! Ids are dense but are not first-intern positions. Nothing downstream
+//! reads views in id order: components are numbered by first-seen run,
+//! ε-chain searches walk each view's runs in run order, certificates sort
+//! by structural digest, and no journal line stores a [`ViewId`].
+//!
+//! Each admissible sequence is stored once, in its row; runs with equal
+//! inputs share one inputs handle too. The first
+//! [`Expansion::sequence_count`] runs therefore list the admissible
 //! sequences in enumeration order ([`Expansion::sequences`]), the same list
 //! [`admissible_sequences`] returns.
 //!
@@ -28,7 +35,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use dyngraph::{Digraph, GraphSeq};
-use ptgraph::{all_inputs, PrefixRun, Value, ViewTable};
+use ptgraph::{all_inputs, PrefixRun, ShapeRow, Value, ViewTable};
 
 use crate::arena::SeqArena;
 use crate::MessageAdversary;
@@ -43,17 +50,17 @@ pub struct ExpandStats {
 
 /// The expanded prefix space at a fixed depth.
 ///
-/// Cloning copies the view table and each run's views, but not the
-/// sequences or inputs, which the clone shares. Laddering to a deeper
-/// expansion does not clone at all: [`Expansion::extended`] reads these
-/// runs and copies only the view table.
+/// Cloning copies the view table and the run handles, but not the rows or
+/// inputs, which the clone shares. Laddering to a deeper expansion does not
+/// clone at all: [`Expansion::extended`] reads these runs and copies only
+/// the view table.
 #[derive(Debug, Clone)]
 pub struct Expansion {
     /// All admissible runs: `inputs × admissible sequences`, in
     /// deterministic order (inputs lexicographic, sequences in expansion
     /// order).
     pub runs: Vec<PrefixRun>,
-    /// The shared view interner; run views reference it.
+    /// The shared shape interner; run views are ids of it.
     pub table: ViewTable,
     /// The expansion depth `t` (every run has exactly `t` rounds).
     pub depth: usize,
@@ -181,16 +188,24 @@ pub fn expand(
             .map_err(|e| BudgetExceeded { max_runs, needed: e.needed })?;
     }
     let arena_bytes = arena.approx_bytes();
-    let inputs = all_inputs(n, values);
-    let seqs: Vec<Arc<GraphSeq>> = arena.into_frontier_seqs().into_iter().map(Arc::new).collect();
+    // Each sequence's row resumes from the previous one's: breadth-first
+    // order puts siblings side by side, so most rows intern one round.
+    let mut table = ViewTable::new(n, values);
+    let mut rows: Vec<Arc<ShapeRow>> = Vec::with_capacity(arena.frontier().len());
+    for seq in arena.into_frontier_seqs() {
+        let row = match rows.last() {
+            Some(prev) => prev.resumed(seq, &mut table),
+            None => ShapeRow::compute(seq, &mut table),
+        };
+        rows.push(Arc::new(row));
+    }
     // Input-major: run `t` is inputs `t / k` under sequence `t % k`, and
-    // every run shares its sequence's and its inputs' `Arc`.
-    let mut table = ViewTable::new(n);
-    let mut runs = Vec::with_capacity(inputs.len() * seqs.len());
-    for x in inputs {
-        let x: Arc<[Value]> = Arc::from(x);
-        for seq in &seqs {
-            runs.push(PrefixRun::compute(Arc::clone(&x), Arc::clone(seq), &mut table));
+    // every run shares its row and its inputs.
+    let mut runs = Vec::with_capacity(inputs_count.saturating_mul(rows.len()));
+    if let Some(first) = rows.first() {
+        for x in all_inputs(n, values) {
+            let run = PrefixRun::new(x, Arc::clone(first), &table);
+            runs.extend(rows.iter().map(|row| run.with_row(Arc::clone(row))));
         }
     }
     Ok(Expansion {
@@ -232,9 +247,9 @@ pub fn expand_binary(
 
 impl Expansion {
     /// Extend the expansion by one round in place: every run is replaced by
-    /// its admissible one-round extensions, reusing the interned views of
+    /// its admissible one-round extensions, reusing the interned shapes of
     /// the shorter runs (the incremental path of the checker's depth
-    /// sweep — each view is interned exactly once across the whole sweep).
+    /// sweep — each shape is interned exactly once across the whole sweep).
     ///
     /// # Errors
     /// Returns [`BudgetExceeded`] if the extended space would exceed
@@ -252,9 +267,9 @@ impl Expansion {
         Ok(())
     }
 
-    /// The expansion one round deeper, leaving `self` intact: the new runs
-    /// are computed from these runs into a copy of the view table, the
-    /// only state copied. Identical to [`extend`](Self::extend) on a
+    /// The expansion one round deeper, leaving `self` intact: the new rows
+    /// are computed from these runs' rows into a copy of the view table,
+    /// the only state copied. Identical to [`extend`](Self::extend) on a
     /// clone.
     ///
     /// # Errors
@@ -277,15 +292,16 @@ impl Expansion {
 /// Extensions are computed **once per distinct sequence**: canonical
 /// expansions lay runs out input-major, so the first `k` runs carry the
 /// `k` distinct sequences. Each (sequence, extension) pair becomes one
-/// next-depth sequence, built once and shared by every input assignment's
-/// run over it; no `GraphSeq` is hashed. Non-canonical layouts (hand-built
-/// expansions) are handled per run, as if every run had its own sequence.
+/// next-depth row, interned once from its parent's row and shared by every
+/// input assignment's run over it; no `GraphSeq` is hashed. Non-canonical
+/// layouts (hand-built expansions) are handled per run, as if every run had
+/// its own sequence.
 struct Extension<'a> {
     base: &'a [PrefixRun],
     /// Distinct sequences of `base` per input assignment.
     k: usize,
     /// The next depth's sequences, grouped by parent in parent order.
-    seqs: Vec<Arc<GraphSeq>>,
+    seqs: Vec<GraphSeq>,
     /// `parents[j]`: the slot in `0..k` that `seqs[j]` extends.
     parents: Vec<usize>,
 }
@@ -309,7 +325,7 @@ impl<'a> Extension<'a> {
             let si = i % k;
             if si + 1 == bounds.len() {
                 for g in ma.extensions(run.seq()) {
-                    seqs.push(Arc::new(run.seq().extended(g)));
+                    seqs.push(run.seq().extended(g));
                     parents.push(si);
                 }
                 bounds.push(seqs.len());
@@ -322,19 +338,22 @@ impl<'a> Extension<'a> {
         Ok(Extension { base: runs, k, seqs, parents })
     }
 
-    /// Compute the runs into `table`, with the telemetry of this pass.
-    /// Under each input assignment (one block of `k` base runs), each next
-    /// sequence in order extends its parent's run: the order a per-run
-    /// walk appends them in.
-    fn compute(&self, table: &mut ViewTable) -> (Vec<PrefixRun>, ExpandStats) {
+    /// Compute the runs into `table`, with the telemetry of this pass:
+    /// first each next sequence's row from its parent's, then, under each
+    /// input assignment (one block of `k` base runs), a handle per row in
+    /// order — the order a per-run walk appends them in.
+    fn compute(self, table: &mut ViewTable) -> (Vec<PrefixRun>, ExpandStats) {
+        let arena_bytes = self.seqs.len() * std::mem::size_of::<Digraph>();
+        let rows: Vec<Arc<ShapeRow>> = (self.seqs.into_iter().zip(&self.parents))
+            .map(|(seq, &parent)| Arc::new(self.base[parent].row().extended(seq, table)))
+            .collect();
         let blocks = self.base.len().checked_div(self.k).unwrap_or(0);
-        let mut runs = Vec::with_capacity(blocks * self.seqs.len());
+        let mut runs = Vec::with_capacity(blocks * rows.len());
         for block in self.base.chunks_exact(self.k.max(1)) {
-            for (seq, &parent) in self.seqs.iter().zip(&self.parents) {
-                runs.push(block[parent].extended(Arc::clone(seq), table));
+            for (row, &parent) in rows.iter().zip(&self.parents) {
+                runs.push(block[parent].with_row(Arc::clone(row)));
             }
         }
-        let arena_bytes = self.seqs.len() * std::mem::size_of::<Digraph>();
         (runs, ExpandStats { arena_bytes })
     }
 }
@@ -423,7 +442,78 @@ mod tests {
             .filter(|r| r.inputs() == a.inputs() && r.seq() == a.seq())
             .collect();
         for r in same {
-            assert_eq!(r.views_at(1), a.views_at(1));
+            assert!(r.views_at(1).eq(a.views_at(1)));
+        }
+    }
+
+    /// A view's structural key: owner and input, or owner, previous view
+    /// and received `(sender, view)` pairs, views being reference ids.
+    #[derive(PartialEq, Eq, Hash)]
+    enum Key {
+        Initial(usize, Value),
+        Round(usize, usize, Vec<(usize, usize)>),
+    }
+
+    /// The reference count of distinct views: a `HashMap` of keys, ids
+    /// being map positions.
+    #[derive(Default)]
+    struct DistinctViews(std::collections::HashMap<Key, usize>);
+
+    impl DistinctViews {
+        fn id(&mut self, key: Key) -> usize {
+            let fresh = self.0.len();
+            *self.0.entry(key).or_insert(fresh)
+        }
+
+        fn add(&mut self, run: &PrefixRun) {
+            let n = run.n();
+            let mut views: Vec<usize> =
+                (0..n).map(|p| self.id(Key::Initial(p, run.inputs()[p]))).collect();
+            for t in 1..=run.rounds() {
+                let g = run.seq().graph(t);
+                views = (0..n)
+                    .map(|p| {
+                        let received =
+                            g.in_neighbors(p).filter(|&q| q != p).map(|q| (q, views[q])).collect();
+                        self.id(Key::Round(p, views[p], received))
+                    })
+                    .collect();
+            }
+        }
+    }
+
+    #[test]
+    fn view_ids_count_the_distinct_views_of_the_catalog() {
+        // Every (shape, inputs on heard) pair occurs in a full expansion,
+        // so the id space is the number of distinct views: those of the
+        // runs from scratch, and those of every rung up a ladder, whose
+        // table keeps the views of dead-end prefixes.
+        const MAX_RUNS: usize = 1_000_000;
+        for entry in crate::catalog::entries() {
+            let ma = entry.build();
+            let mut laddered = expand_binary(&*ma, 0, MAX_RUNS).unwrap();
+            let mut every_rung = DistinctViews::default();
+            for depth in 0..=5 {
+                if depth > 0 {
+                    laddered.extend(&*ma, MAX_RUNS).unwrap();
+                }
+                let scratch = expand_binary(&*ma, depth, MAX_RUNS).unwrap();
+                let mut fresh = DistinctViews::default();
+                scratch.runs.iter().for_each(|run| fresh.add(run));
+                assert_eq!(
+                    scratch.table.len(),
+                    fresh.0.len(),
+                    "{}@{depth} from scratch",
+                    entry.name
+                );
+                laddered.runs.iter().for_each(|run| every_rung.add(run));
+                assert_eq!(
+                    laddered.table.len(),
+                    every_rung.0.len(),
+                    "{}@{depth} laddered",
+                    entry.name
+                );
+            }
         }
     }
 

@@ -68,7 +68,6 @@ impl BroadcastReport {
 
 /// Compute the broadcast report of a prefix space.
 pub fn broadcast_report(space: &PrefixSpace) -> BroadcastReport {
-    let table = space.table();
     let comps = space.components();
     let mut out = Vec::with_capacity(comps.count());
     for c in 0..comps.count() {
@@ -77,7 +76,7 @@ pub fn broadcast_report(space: &PrefixSpace) -> BroadcastReport {
         'procs: for p in 0..space.n() {
             let mut worst = 0usize;
             for &i in members {
-                match space.runs()[i].broadcast_complete(p, table) {
+                match space.runs()[i].broadcast_complete(p) {
                     Some(t) => worst = worst.max(t),
                     None => continue 'procs,
                 }

@@ -28,8 +28,8 @@
 //!   links, which refutes *every* algorithm at once.
 //!
 //! Views inside a certificate are identified by a structural digest, not
-//! by [`ViewId`] — interner ids depend on interning order, which an
-//! offline verifier cannot reproduce. The digest of an initial view hashes
+//! by [`ViewId`] — interner ids depend on the order shapes were interned
+//! in, which an offline verifier cannot reproduce. The digest of an initial view hashes
 //! `(process, input)`; the digest of a round view hashes the process, the
 //! predecessor digest, and the sorted `(sender, digest)` pairs received.
 //! Replaying a witness in a fresh [`ViewTable`] therefore reproduces the
@@ -225,6 +225,17 @@ pub enum CertError {
         /// The valence of the witness being replayed.
         value: Value,
     },
+    /// The domain is too large for replay: one witness's views, up to
+    /// `|domain|^n` ids for each of its `(depth + 1) · n` shapes, would not
+    /// fit the view id space.
+    DomainTooLarge {
+        /// Distinct values in the domain.
+        size: usize,
+        /// The certificate's process count.
+        n: usize,
+        /// The certificate's stated depth.
+        depth: usize,
+    },
     /// The chain's end runs do not carry the claimed distinct valences.
     ValenceMismatch {
         /// What was wrong.
@@ -250,6 +261,7 @@ impl CertError {
             CertError::InadmissibleWitness { .. } => "inadmissible-witness",
             CertError::WrongDecision { .. } => "wrong-decision",
             CertError::Undecided { .. } => "undecided",
+            CertError::DomainTooLarge { .. } => "domain-too-large",
             CertError::ValenceMismatch { .. } => "valence-mismatch",
             CertError::ChainRejected => "chain-rejected",
         }
@@ -296,6 +308,11 @@ impl fmt::Display for CertError {
                 f,
                 "process {process} is undecided at the stated depth on the \
                  {value}-valent witness"
+            ),
+            CertError::DomainTooLarge { size, n, depth } => write!(
+                f,
+                "a domain of {size} values over n = {n} processes at depth {depth} \
+                 exceeds the view id space"
             ),
             CertError::ValenceMismatch { reason } => write!(f, "valence mismatch: {reason}"),
             CertError::ChainRejected => write!(
@@ -344,14 +361,11 @@ pub fn view_digest(table: &ViewTable, id: ViewId, memo: &mut HashMap<ViewId, u64
         None => fnv(&[0, data.process as u64, u64::from(data.own_input())]),
         Some(prev) => {
             let mut words = vec![1, data.process as u64, view_digest(table, prev, memo)];
-            let mut received: Vec<(u8, u64)> = table
-                .received(id)
-                .iter()
-                .map(|&(q, v)| (q, view_digest(table, v, memo)))
-                .collect();
+            let mut received: Vec<(Pid, u64)> =
+                table.received(id).map(|(q, v)| (q, view_digest(table, v, memo))).collect();
             received.sort_unstable();
             for (q, d) in received {
-                words.push(u64::from(q));
+                words.push(q as u64);
                 words.push(d);
             }
             fnv(&words)
@@ -555,6 +569,19 @@ fn verify_solvable(cert: &SolvableCertificate, ma: &dyn MessageAdversary) -> Res
     if cert.domain.is_empty() {
         return Err(CertError::MalformedTable { reason: "empty domain".into() });
     }
+    let mut domain = cert.domain.clone();
+    domain.sort_unstable();
+    domain.dedup();
+    // Replay interns at most (depth + 1) · n shapes per witness, each with
+    // up to |domain|^n view ids; refuse what the id space cannot hold
+    // before anything is interned.
+    let ids = (domain.len() as u64).checked_pow(cert.n as u32).and_then(|per_shape| {
+        let shapes = cert.depth.checked_add(1)?.checked_mul(cert.n)?;
+        per_shape.checked_mul(u64::try_from(shapes).ok()?)
+    });
+    if ids.is_none() {
+        return Err(CertError::DomainTooLarge { size: domain.len(), n: cert.n, depth: cert.depth });
+    }
     // Table sanity: sorted, unique, range-valid. Entries off the witness
     // paths are unexercised but must still be well-formed.
     for pair in cert.decisions.windows(2) {
@@ -582,22 +609,20 @@ fn verify_solvable(cert: &SolvableCertificate, ma: &dyn MessageAdversary) -> Res
     let mut values: Vec<Value> = cert.witnesses.iter().map(|w| w.value).collect();
     values.sort_unstable();
     values.dedup();
-    let mut domain = cert.domain.clone();
-    domain.sort_unstable();
-    domain.dedup();
     if values != domain {
         return Err(CertError::MalformedWitness {
             reason: "witness values do not cover the domain exactly once".into(),
         });
     }
     for witness in &cert.witnesses {
-        verify_witness(cert, witness, &table, ma)?;
+        verify_witness(cert, &domain, witness, &table, ma)?;
     }
     Ok(())
 }
 
 fn verify_witness(
     cert: &SolvableCertificate,
+    domain: &[Value],
     witness: &WitnessRun,
     table: &HashMap<(Pid, u64), Value>,
     ma: &dyn MessageAdversary,
@@ -619,10 +644,11 @@ fn verify_witness(
     if !ma.admits_prefix(&seq) {
         return Err(CertError::InadmissibleWitness { value: v });
     }
-    // Replay in a fresh interner: digests are structural, so they coincide
-    // with the extraction-time digests without sharing any table state.
-    let mut fresh = ViewTable::new(cert.n);
-    let run = PrefixRun::compute(witness.inputs.as_slice(), seq, &mut fresh);
+    // Replay in a fresh interner over the deduplicated domain: digests are
+    // structural, so they coincide with the extraction-time digests
+    // without sharing any table state.
+    let mut fresh = ViewTable::new(cert.n, domain);
+    let run = PrefixRun::compute(&witness.inputs, seq, &mut fresh);
     let mut memo = HashMap::new();
     for p in 0..cert.n {
         let mut decided = None;
@@ -1010,12 +1036,12 @@ mod tests {
         // The same structural view interned in two different orders gets
         // the same digest.
         let seq = GraphSeq::parse2("-> <-").unwrap();
-        let mut a = ViewTable::new(2);
-        let run_a = PrefixRun::compute(vec![0, 1], seq.clone(), &mut a);
-        let mut b = ViewTable::new(2);
-        // Intern an unrelated run first, skewing b's id order.
-        PrefixRun::compute(vec![1, 0], GraphSeq::parse2("<- ->").unwrap(), &mut b);
-        let run_b = PrefixRun::compute(vec![0, 1], seq, &mut b);
+        let mut a = ViewTable::new(2, &[0, 1]);
+        let run_a = PrefixRun::compute([0, 1], seq.clone(), &mut a);
+        // A wider domain and an unrelated run interned first skew b's ids.
+        let mut b = ViewTable::new(2, &[0, 1, 2]);
+        PrefixRun::compute([1, 0], GraphSeq::parse2("<- ->").unwrap(), &mut b);
+        let run_b = PrefixRun::compute([0, 1], seq, &mut b);
         let (mut ma, mut mb) = (HashMap::new(), HashMap::new());
         for p in 0..2 {
             for t in 0..=2 {
@@ -1037,6 +1063,30 @@ mod tests {
         c.fingerprint ^= 1;
         let err = verify(&Certificate::Solvable(c), &ma).unwrap_err();
         assert!(matches!(err, CertError::FingerprintMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn oversized_domain_is_a_typed_error() {
+        // Over n = 8 processes, 256 values give one fully-heard shape 2^64
+        // view ids, more than the id space holds: the domain, parsed from
+        // untrusted JSON, must be refused before replay interns anything.
+        let ma = GeneralMA::oblivious(generators::all_out_stars(8));
+        let (cert, _) = solvable_cert();
+        let Certificate::Solvable(mut c) = cert else {
+            unreachable!()
+        };
+        (c.n, c.fingerprint) = (8, ma.fingerprint());
+        let tampered = |c: &SolvableCertificate, size: Value| {
+            let mut c = c.clone();
+            c.domain = (0..size).collect();
+            Certificate::from_json(&Certificate::Solvable(c).to_json()).unwrap()
+        };
+        let err = verify(&tampered(&c, 256), &ma).unwrap_err();
+        assert!(matches!(err, CertError::DomainTooLarge { size: 256, n: 8, .. }), "{err}");
+        assert_eq!(err.kind(), "domain-too-large");
+        // A domain the id space holds gets as far as the witness check.
+        let err = verify(&tampered(&c, 16), &ma).unwrap_err();
+        assert_eq!(err.kind(), "malformed-witness", "{err}");
     }
 
     #[test]

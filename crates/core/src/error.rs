@@ -99,9 +99,11 @@ impl From<adversary::spec::TermError> for Error {
 /// use adversary::GeneralMA;
 /// use dyngraph::generators;
 ///
-/// let ma = GeneralMA::oblivious(generators::lossy_link_full());
-/// let err = PrefixSpace::expand(&ma, &[0, 1], 5, &ExpandConfig::with_budget(10)).unwrap_err();
-/// match err {
+/// fn expand() -> Result<PrefixSpace, Error> {
+///     let ma = GeneralMA::oblivious(generators::lossy_link_full());
+///     Ok(PrefixSpace::expand(&ma, &[0, 1], 5, &ExpandConfig::with_budget(10))?)
+/// }
+/// match expand().unwrap_err() {
 ///     Error::Budget(b) => assert_eq!(b.max_runs, 10),
 ///     other => panic!("expected a budget error, got {other}"),
 /// }
@@ -173,16 +175,6 @@ impl Error {
             Error::CacheConflict { .. } => 409,
             Error::Budget(_) => 422,
             Error::Io { .. } => 500,
-        }
-    }
-
-    /// The budget payload, if this is a budget error — the inverse of the
-    /// `From<BudgetExceeded>` conversion, used where a legacy seam still
-    /// speaks [`BudgetExceeded`].
-    pub fn into_budget(self) -> Option<BudgetExceeded> {
-        match self {
-            Error::Budget(b) => Some(b),
-            _ => None,
         }
     }
 }
@@ -291,11 +283,10 @@ mod tests {
         let budget = BudgetExceeded { max_runs: 10, needed: 99 };
         let err = Error::from(budget.clone());
         assert_eq!(err.source().unwrap().to_string(), budget.to_string());
-        assert_eq!(err.into_budget(), Some(budget));
+        assert!(matches!(err, Error::Budget(b) if b == budget));
 
         let io = Error::io("opening x", io::Error::new(io::ErrorKind::NotFound, "gone"));
         assert!(io.source().is_some());
         assert_eq!(io.to_string(), "opening x: gone");
-        assert!(io.into_budget().is_none());
     }
 }

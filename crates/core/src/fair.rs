@@ -198,7 +198,7 @@ pub fn epsilon_chain(space: &PrefixSpace, from: usize, to: usize) -> Option<Epsi
         if i == to {
             break;
         }
-        for (p, v) in runs[i].views_at(depth).iter().enumerate() {
+        for (p, v) in runs[i].views_at(depth).enumerate() {
             for &j in &members[bounds[v.index()]..bounds[v.index() + 1]] {
                 if prev[j].is_none() {
                     prev[j] = Some((i, p));

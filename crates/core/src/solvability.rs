@@ -150,8 +150,7 @@ impl SpaceSource for FreshSpaces {
         depth: usize,
         max_runs: usize,
     ) -> Result<Arc<PrefixSpace>, enumerate::BudgetExceeded> {
-        PrefixSpace::expand_budgeted(ma, values, depth, &ExpandConfig::with_budget(max_runs))
-            .map(Arc::new)
+        PrefixSpace::expand(ma, values, depth, &ExpandConfig::with_budget(max_runs)).map(Arc::new)
     }
 }
 

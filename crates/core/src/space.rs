@@ -22,7 +22,6 @@ use topology::separation::{self, SeparationReport};
 use topology::{components_by_dense_buckets, Components};
 
 use crate::config::ExpandConfig;
-use crate::error::Error;
 use crate::fair::EpsilonChain;
 
 /// Registry histogram of expansion wall time (nanoseconds), shared by
@@ -85,7 +84,7 @@ pub struct SpaceStats {
     pub depth: usize,
     /// Admissible runs (inputs × sequences).
     pub runs: usize,
-    /// Distinct interned views.
+    /// View ids: the distinct views of the space's lineage.
     pub views: usize,
     /// ε-approximation components.
     pub components: usize,
@@ -96,38 +95,54 @@ impl PrefixSpace {
     /// compute the ε-approximation components (`ε = 2^{−depth}`), under
     /// `cfg`'s run budget.
     ///
+    /// Expansion fails only on the budget, so the error is the budget's
+    /// own `Clone`-able type, which memoizing [`SpaceSource`]s record; `?`
+    /// converts it into the crate-wide [`Error`](crate::Error).
+    ///
     /// # Errors
-    /// Returns [`Error::Budget`] if the space exceeds
+    /// Returns [`enumerate::BudgetExceeded`] if the space exceeds
     /// [`cfg.max_runs`](ExpandConfig::max_runs).
+    ///
+    /// [`SpaceSource`]: crate::solvability::SpaceSource
     pub fn expand(
         ma: &dyn MessageAdversary,
         values: &[Value],
         depth: usize,
         cfg: &ExpandConfig,
-    ) -> Result<Self, Error> {
-        Self::expand_budgeted(ma, values, depth, cfg).map_err(Error::from)
+    ) -> Result<Self, enumerate::BudgetExceeded> {
+        let expansion = {
+            let mut span =
+                tracer().span("expand").with_attr("mode", "build").with_attr("depth", depth);
+            let start = Instant::now();
+            let expansion = enumerate::expand(ma, values, depth, cfg.max_runs)?;
+            stage_expand().record_duration(start.elapsed());
+            span.set_attr("runs", expansion.runs.len());
+            span.set_attr("views", expansion.table.len());
+            expansion
+        };
+        Ok(Self::from_expansion(expansion))
     }
 
     /// Extend the space by one round incrementally: runs are extended in
-    /// place (views interned once across the sweep) and components are
+    /// place (shapes interned once across the sweep) and components are
     /// recomputed at the new depth. On budget exhaustion the original space
     /// is returned unchanged as the error payload, components and memo
     /// included.
     ///
     /// # Errors
-    /// Returns `(self, Error::Budget)` if the extension would exceed the
+    /// Returns `(self, BudgetExceeded)` if the extension would exceed the
     /// budget (the space rides along in the error so callers keep it).
     #[allow(clippy::result_large_err)]
     pub fn extend(
         mut self,
         ma: &dyn MessageAdversary,
         cfg: &ExpandConfig,
-    ) -> Result<Self, (Self, Error)> {
+    ) -> Result<Self, (Self, enumerate::BudgetExceeded)> {
         {
             let mut span = extend_span(self.depth() + 1);
             let start = Instant::now();
             if let Err(e) = self.expansion.extend(ma, cfg.max_runs) {
-                return Err((self, Error::from(e)));
+                return Err((self, e));
             }
             stage_expand().record_duration(start.elapsed());
             span.set_attr("runs", self.expansion.runs.len());
@@ -148,58 +163,12 @@ impl PrefixSpace {
     /// breadth-first sequence order either way).
     ///
     /// # Errors
-    /// Returns [`Error::Budget`] if the extension would exceed the budget;
-    /// `self` — runs, view table and memo — is untouched either way.
+    /// Returns [`enumerate::BudgetExceeded`] if the extension would exceed
+    /// the budget; `self` — runs, view table and memo — is untouched either
+    /// way.
     ///
     /// [`SpaceSource`]: crate::solvability::SpaceSource
     pub fn extend_from(
-        &self,
-        ma: &dyn MessageAdversary,
-        cfg: &ExpandConfig,
-    ) -> Result<Self, Error> {
-        self.extend_from_budgeted(ma, cfg).map_err(Error::from)
-    }
-
-    /// [`expand`](Self::expand) with the budget-typed error of the
-    /// [`SpaceSource`] seam: memoizing sources record failures, so they
-    /// need a `Clone`-able error, which the crate-wide [`Error`] (it can
-    /// hold an `io::Error`) is not. Prefer [`expand`](Self::expand)
-    /// everywhere else.
-    ///
-    /// # Errors
-    /// Returns [`enumerate::BudgetExceeded`] if the space exceeds
-    /// [`cfg.max_runs`](ExpandConfig::max_runs).
-    ///
-    /// [`SpaceSource`]: crate::solvability::SpaceSource
-    pub fn expand_budgeted(
-        ma: &dyn MessageAdversary,
-        values: &[Value],
-        depth: usize,
-        cfg: &ExpandConfig,
-    ) -> Result<Self, enumerate::BudgetExceeded> {
-        let expansion = {
-            let mut span =
-                tracer().span("expand").with_attr("mode", "build").with_attr("depth", depth);
-            let start = Instant::now();
-            let expansion = enumerate::expand(ma, values, depth, cfg.max_runs)?;
-            stage_expand().record_duration(start.elapsed());
-            span.set_attr("runs", expansion.runs.len());
-            span.set_attr("views", expansion.table.len());
-            expansion
-        };
-        Ok(Self::from_expansion(expansion))
-    }
-
-    /// [`extend_from`](Self::extend_from) with the budget-typed error of
-    /// the [`SpaceSource`] seam (see
-    /// [`expand_budgeted`](Self::expand_budgeted)).
-    ///
-    /// # Errors
-    /// Returns [`enumerate::BudgetExceeded`] if the extension would exceed
-    /// the budget; `self` is untouched either way.
-    ///
-    /// [`SpaceSource`]: crate::solvability::SpaceSource
-    pub fn extend_from_budgeted(
         &self,
         ma: &dyn MessageAdversary,
         cfg: &ExpandConfig,
@@ -217,10 +186,10 @@ impl PrefixSpace {
 
     /// Component-decompose an existing expansion.
     ///
-    /// Two runs are ε-close iff some process has the same interned view at
-    /// the expansion depth in both; a view determines its owner, so the
-    /// bucket key is the dense view id itself — one flat sweep over the run
-    /// views, no hashing (see [`components_by_dense_buckets`]).
+    /// Two runs are ε-close iff some process has the same view at the
+    /// expansion depth in both; a view determines its owner, so the bucket
+    /// key is the dense view id itself — one flat sweep over the run views,
+    /// no hashing (see [`components_by_dense_buckets`]).
     pub fn from_expansion(expansion: enumerate::Expansion) -> Self {
         let mut span = tracer().span("components");
         let start = Instant::now();
@@ -229,7 +198,7 @@ impl PrefixSpace {
             .runs
             .iter()
             .enumerate()
-            .flat_map(|(i, run)| run.views_at(depth).iter().map(move |v| (v.index(), i)));
+            .flat_map(|(i, run)| run.views_at(depth).map(move |v| (v.index(), i)));
         let components =
             components_by_dense_buckets(expansion.runs.len(), expansion.table.len(), buckets);
         stage_components().record_duration(start.elapsed());
@@ -398,13 +367,12 @@ impl PrefixSpace {
     /// The processes that have *broadcast within the horizon* in every run
     /// of component `c`: candidates per Definition 5.8 / Theorem 5.11.
     pub fn component_broadcasters(&self, c: usize) -> Vec<Pid> {
-        let table = &self.expansion.table;
         (0..self.n())
             .filter(|&p| {
                 self.components
                     .members(c)
                     .iter()
-                    .all(|&i| self.expansion.runs[i].broadcast_complete(p, table).is_some())
+                    .all(|&i| self.expansion.runs[i].broadcast_complete(p).is_some())
             })
             .collect()
     }
@@ -714,7 +682,7 @@ mod tests {
         let (space, err) = space.extend(&ma, &ExpandConfig::with_budget(10)).unwrap_err();
         assert_eq!(space.runs().len(), runs_before);
         assert_eq!(space.depth(), 2);
-        assert!(err.into_budget().unwrap().needed > 10);
+        assert!(err.needed > 10);
     }
 
     #[test]

@@ -32,15 +32,19 @@
 //! A [`ViewId`] determines its owner, so the map is stored densely: one
 //! entry per view id of the synthesis-time table, holding the owner and
 //! the value when the view's ball is decided. A lookup is one index, and
-//! answers only for the owner; views interned after synthesis (runs past
-//! the horizon) have no entry.
+//! answers only for the owner; views of shapes interned after synthesis
+//! (runs past the horizon) have no entry.
+//!
+//! At run time each state carries its view's shape and the labels of the
+//! inputs it has heard of, so a step interns only the new shape and
+//! derives the id by arithmetic, decoding no id.
 //!
 //! [`UniversalAlgorithm::verify`] checks the algorithm exhaustively on the
 //! sequences of the space it came from, once per space and validity
 //! flavor.
 
 use dyngraph::Pid;
-use ptgraph::{Value, ViewId, ViewTable};
+use ptgraph::{Labels, ShapeId, Value, ViewId, ViewTable};
 use simulator::checker::{self, CheckConfig, CheckReport};
 use simulator::Algorithm;
 use std::sync::Mutex;
@@ -53,10 +57,12 @@ use crate::space::PrefixSpace;
 /// decision; the runtime interner is seeded with the synthesis-time
 /// [`ViewTable`] so that view identity at run time coincides with synthesis
 /// time. Decisions are a dense table indexed by view id: a view decides
-/// only for its owner, and only if it was interned at synthesis.
+/// only for its owner, and only if it was interned at synthesis. A state
+/// that has heard of an input outside the synthesis domain has no view id
+/// and takes no decision from the table.
 #[derive(Debug)]
 pub struct UniversalAlgorithm {
-    /// Runtime view interner (shared across the processes of an execution).
+    /// Runtime shape interner (shared across the processes of an execution).
     table: Mutex<ViewTable>,
     /// Entry `i` is `Some((owner, value))` when the ball of view `i` of
     /// the synthesis-time table is decided.
@@ -67,11 +73,17 @@ pub struct UniversalAlgorithm {
     strong_validity: bool,
 }
 
-/// State of [`UniversalAlgorithm`]: the interned view and the decision.
+/// State of [`UniversalAlgorithm`]: the interned view, its shape and the
+/// inputs it has heard of, and the decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UniversalState {
-    /// The process's current interned view.
-    pub view: ViewId,
+    /// The process's current view; `None` once it has heard of an input
+    /// outside the synthesis domain, which no synthesis-time view holds.
+    pub view: Option<ViewId>,
+    /// The view's shape.
+    pub shape: ShapeId,
+    /// The inputs in the domain the view has heard of.
+    pub labels: Labels,
     /// The decision, once taken (irrevocable).
     pub decided: Option<Value>,
 }
@@ -106,8 +118,8 @@ impl UniversalAlgorithm {
         for (i, run) in space.runs().iter().enumerate() {
             let value = assignment[space.components().component_of(i)];
             for s in 0..=depth {
-                for p in 0..run.n() {
-                    let slot = &mut buckets[run.view(p, s).index()];
+                for (p, view) in run.views_at(s).enumerate() {
+                    let slot = &mut buckets[view.index()];
                     match slot {
                         None => *slot = Some((p, Some(value))),
                         Some((_, decided)) if *decided != Some(value) => *decided = None,
@@ -219,8 +231,11 @@ impl Algorithm for UniversalAlgorithm {
     type State = UniversalState;
 
     fn init(&self, p: Pid, x: Value) -> UniversalState {
-        let view = self.table.lock().expect("interner lock poisoned").intern_initial(p, x);
-        UniversalState { view, decided: self.bucket_decision(p, view) }
+        let mut table = self.table.lock().expect("interner lock poisoned");
+        let (shape, label) = (table.initial_shape(p), table.label(p, x));
+        let view = label.map(|labels| table.view(shape, labels));
+        let decided = view.and_then(|view| self.bucket_decision(p, view));
+        UniversalState { view, shape, labels: label.unwrap_or_default(), decided }
     }
 
     fn step(
@@ -229,13 +244,15 @@ impl Algorithm for UniversalAlgorithm {
         state: &UniversalState,
         received: &[(Pid, UniversalState)],
     ) -> UniversalState {
-        let view = self.table.lock().expect("interner lock poisoned").intern_round(
-            p,
-            state.view,
-            received.iter().map(|&(q, ref s)| (q, s.view)),
-        );
-        let decided = state.decided.or_else(|| self.bucket_decision(p, view));
-        UniversalState { view, decided }
+        let labels = received.iter().fold(state.labels, |l, (_, s)| l | s.labels);
+        let in_domain = state.view.is_some() && received.iter().all(|(_, s)| s.view.is_some());
+        let mut table = self.table.lock().expect("interner lock poisoned");
+        let shape =
+            table.round_shape(p, state.shape, received.iter().map(|&(q, ref s)| (q, s.shape)));
+        let view = in_domain.then(|| table.view(shape, labels));
+        drop(table);
+        let decided = state.decided.or_else(|| self.bucket_decision(p, view?));
+        UniversalState { view, shape, labels, decided }
     }
 
     fn decision(&self, _p: Pid, state: &UniversalState) -> Option<Value> {
@@ -422,12 +439,13 @@ mod tests {
                             assert_eq!(alg.bucket_decision(q, view), (q == p).then_some(v), "{at}");
                         }
                     }
-                    // Views interned past the horizon have no entry.
+                    // Views of shapes interned past the horizon have no entry.
                     let seq = &adversary::enumerate::admissible_sequences(&*ma, depth + 1)[0];
                     let exec = engine::run(&alg, space.runs()[0].inputs(), seq);
                     for (p, state) in exec.states[depth + 1].iter().enumerate() {
-                        assert!(state.view.index() >= space.table().len(), "{at}");
-                        assert_eq!(alg.bucket_decision(p, state.view), None, "{at}");
+                        let view = state.view.expect("the inputs are in the domain");
+                        assert!(view.index() >= space.table().len(), "{at}");
+                        assert_eq!(alg.bucket_decision(p, view), None, "{at}");
                     }
                     compared += 1;
                 }

@@ -113,8 +113,10 @@ impl Value {
     /// integer. Escaped are exactly `"`, `\`, `\n`, `\r`, `\t` and every
     /// other byte below 0x20 (as `\u00xx`); multi-byte UTF-8 is copied as
     /// is. A float prints with one decimal place when it is integral and
-    /// below 10^15 in magnitude, and in Rust's shortest round-trip form
-    /// otherwise.
+    /// below 10^15 in magnitude, in exponent form (`1e20`) when it is
+    /// integral and larger, in Rust's shortest round-trip form otherwise,
+    /// and as `null` when it is not finite: every finite float reads back
+    /// as the float it was.
     pub fn write_to(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
@@ -122,10 +124,15 @@ impl Value {
             Value::Int(i) => push_int(out, *i),
             Value::Float(x) => {
                 use fmt::Write;
-                let written = if x.fract() == 0.0 && x.abs() < 1e15 {
+                let written = if !x.is_finite() {
+                    out.push_str("null");
+                    Ok(())
+                } else if x.fract() != 0.0 {
+                    write!(out, "{x}")
+                } else if x.abs() < 1e15 {
                     write!(out, "{x:.1}")
                 } else {
-                    write!(out, "{x}")
+                    write!(out, "{x:e}")
                 };
                 written.expect("writing to a String cannot fail");
             }

@@ -255,7 +255,7 @@ impl SpaceCache {
             }
             None => {
                 let cfg = ExpandConfig::with_budget(max_runs);
-                match PrefixSpace::expand_budgeted(ma, values, depth, &cfg) {
+                match PrefixSpace::expand(ma, values, depth, &cfg) {
                     Ok(space) => {
                         self.builds.fetch_add(1, Ordering::Relaxed);
                         span.set_attr("outcome", "build");
@@ -299,7 +299,7 @@ impl SpaceCache {
         let cfg = ExpandConfig::with_budget(max_runs);
         let mut current = base;
         while current.depth() < depth {
-            let next = Arc::new(current.extend_from_budgeted(ma, &cfg)?);
+            let next = Arc::new(current.extend_from(ma, &cfg)?);
             self.record_expand(next.expand_stats());
             let rung: Key = (ma.fingerprint(), values.to_vec(), next.depth());
             let mut cached = self.spaces.lock().expect("cache lock poisoned");

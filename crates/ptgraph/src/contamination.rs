@@ -273,7 +273,7 @@ mod tests {
             }
         }
         let inputs = crate::all_inputs(2, &[0, 1]);
-        let mut table = ViewTable::new(2);
+        let mut table = ViewTable::new(2, &[0, 1]);
         let mut runs: Vec<PrefixRun> = Vec::new();
         for x in &inputs {
             for s in &seqs {
@@ -302,7 +302,7 @@ mod tests {
     fn rule_matches_views_n3_random() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let mut table = ViewTable::new(3);
+        let mut table = ViewTable::new(3, &[0, 1]);
         for _ in 0..200 {
             let mk = |rng: &mut rand::rngs::StdRng| {
                 let inputs: Vec<u32> = (0..3).map(|_| rng.random_range(0..2)).collect();
@@ -325,7 +325,7 @@ mod tests {
 
     #[test]
     fn finite_report_matches_distance_module() {
-        let mut table = ViewTable::new(2);
+        let mut table = ViewTable::new(2, &[0, 1]);
         let a = PrefixRun::compute(vec![0, 1], GraphSeq::parse2("-> -> ->").unwrap(), &mut table);
         let b = PrefixRun::compute(vec![0, 0], GraphSeq::parse2("-> -> ->").unwrap(), &mut table);
         let rep = analyze_finite(&a, &b);

@@ -196,7 +196,7 @@ pub fn set_distance_min(xs: &[&PrefixRun], ys: &[&PrefixRun]) -> Option<Distance
     for t in (0..=horizon).rev() {
         seen.clear();
         seen.extend(xs.iter().flat_map(|r| r.views_at(t)));
-        if ys.iter().flat_map(|r| r.views_at(t)).any(|v| seen.contains(v)) {
+        if ys.iter().flat_map(|r| r.views_at(t)).any(|v| seen.contains(&v)) {
             return Some(if t == horizon {
                 Distance::Below(horizon)
             } else {
@@ -214,7 +214,7 @@ pub fn set_distance_min(xs: &[&PrefixRun], ys: &[&PrefixRun]) -> Option<Distance
 /// Returns `(α, β, table)`.
 pub fn fig3_example() -> (PrefixRun, PrefixRun, ViewTable) {
     use dyngraph::{Digraph, GraphSeq};
-    let mut table = ViewTable::new(3);
+    let mut table = ViewTable::new(3, &[0, 1]);
     // Process 2 differs at time 0 (input), process 1 learns the difference
     // in round 1, process 0 only in round 2.
     // α: x = (0, 0, 0); β: x = (0, 0, 1).
@@ -295,7 +295,7 @@ mod tests {
         for case in 0..400 {
             let n = 2 + rng.below(2);
             let horizon = 1 + rng.below(6);
-            let mut table = ViewTable::new(n);
+            let mut table = ViewTable::new(n, &[0, 1]);
             let runs = forked_runs(&mut rng, n, horizon, &mut table);
             for _ in 0..8 {
                 // Independent coin flips: the sides may overlap or be empty.
@@ -337,14 +337,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "one horizon")]
     fn set_distance_rejects_mixed_horizons() {
-        let mut t = ViewTable::new(2);
+        let mut t = ViewTable::new(2, &[0, 1]);
         let a = PrefixRun::compute(vec![0, 1], GraphSeq::parse2("->").unwrap(), &mut t);
         let b = PrefixRun::compute(vec![0, 1], GraphSeq::parse2("-> <-").unwrap(), &mut t);
         set_distance_min(&[&a], &[&b]);
     }
 
     fn runs2(word_a: &str, word_b: &str, xa: [u32; 2], xb: [u32; 2]) -> (PrefixRun, PrefixRun) {
-        let mut t = ViewTable::new(2);
+        let mut t = ViewTable::new(2, &[0, 1]);
         let a = PrefixRun::compute(xa, GraphSeq::parse2(word_a).unwrap(), &mut t);
         let b = PrefixRun::compute(xb, GraphSeq::parse2(word_b).unwrap(), &mut t);
         (a, b)
@@ -405,7 +405,7 @@ mod tests {
     fn triangle_inequality_dp() {
         // Theorem 4.3: d_P(α,γ) ≤ d_P(α,β) + d_P(β,γ). With exact dyadics,
         // verify on f64 with a horizon-consistent trio.
-        let mut t = ViewTable::new(2);
+        let mut t = ViewTable::new(2, &[0, 1]);
         let s1 = GraphSeq::parse2("-> -> ->").unwrap();
         let s2 = GraphSeq::parse2("-> <- ->").unwrap();
         let s3 = GraphSeq::parse2("<- <- ->").unwrap();
@@ -453,7 +453,7 @@ mod tests {
 
     #[test]
     fn diameter_and_set_distance() {
-        let mut t = ViewTable::new(2);
+        let mut t = ViewTable::new(2, &[0, 1]);
         let s = GraphSeq::parse2("-> ->").unwrap();
         let a = PrefixRun::compute(vec![0, 0], s.clone(), &mut t);
         let b = PrefixRun::compute(vec![0, 1], s.clone(), &mut t);

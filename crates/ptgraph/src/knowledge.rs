@@ -57,7 +57,7 @@ pub fn latest_view_of(table: &ViewTable, view: ViewId, q: Pid) -> Option<ViewId>
         if let Some(prev) = table.prev(v) {
             stack.push(prev);
         }
-        for &(_, rv) in table.received(v) {
+        for (_, rv) in table.received(v) {
             stack.push(rv);
         }
     }
@@ -94,8 +94,8 @@ mod tests {
     use dyngraph::GraphSeq;
 
     fn run2(word: &str, x: [u32; 2]) -> (PrefixRun, ViewTable) {
-        let mut table = ViewTable::new(2);
-        let run = PrefixRun::compute(x.to_vec(), GraphSeq::parse2(word).unwrap(), &mut table);
+        let mut table = ViewTable::new(2, &x);
+        let run = PrefixRun::compute(x, GraphSeq::parse2(word).unwrap(), &mut table);
         (run, table)
     }
 

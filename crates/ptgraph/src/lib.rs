@@ -7,14 +7,16 @@
 //! * [`PtGraph`] — the explicit process-time graph `PT^t` of §3 (Fig. 2):
 //!   nodes `(p, 0, x_p)` and `(p, t)`, edges `(p, t−1) → (q, t)` iff
 //!   `(p, q) ∈ G_t`.
-//! * [`ViewTable`] / [`ViewId`] — interned local views, stored flat. The view
+//! * [`ViewTable`] / [`ViewId`] — interned local views. The view
 //!   `V_{p}(PT^t)` is `p`'s causal past; two runs are indistinguishable to
-//!   `p` through round `t` iff their interned view ids at time `t` are equal.
-//!   This is the workhorse of the whole reproduction: the paper's distances
-//!   below resolution `2^−t` are functions of these ids.
-//! * [`PrefixRun`] — a finite run `(input vector, graph-sequence prefix)`
-//!   with all views interned; the finite shadow of a point of the paper's
-//!   space `PT^ω`.
+//!   `p` through round `t` iff their view ids at time `t` are equal. The
+//!   table interns each view's input-free shape once and numbers the views
+//!   of a shape by the inputs they have heard of. This is the workhorse of
+//!   the whole reproduction: the paper's distances below resolution `2^−t`
+//!   are functions of these ids.
+//! * [`PrefixRun`] — a finite run `(input vector, graph-sequence prefix)`;
+//!   the finite shadow of a point of the paper's space `PT^ω`. Runs over
+//!   one sequence share its [`ShapeRow`].
 //! * [`distance`] — the `P`-pseudo-metric `d_P` (§4.1), the minimum
 //!   pseudo-semi-metric `d_min` (§4.2), and the common-prefix metric
 //!   `d_max = d_{[n]}` (Fig. 3), all as exact dyadic values.
@@ -49,8 +51,8 @@ mod run;
 mod view;
 
 pub use ptg::{fig2_example, PtGraph, PtNode};
-pub use run::{InfiniteRun, PrefixRun};
-pub use view::{ViewData, ViewId, ViewTable};
+pub use run::{InfiniteRun, PrefixRun, ShapeRow};
+pub use view::{Labels, ShapeId, ViewData, ViewId, ViewTable};
 
 /// A consensus input/output value (the paper's finite domain `V_I ⊆ V_O`).
 pub type Value = u32;

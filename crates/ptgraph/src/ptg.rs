@@ -280,7 +280,7 @@ mod tests {
         // The node set of the causal past determines exactly which initial
         // values the interned view knows.
         let pt = fig2_example();
-        let mut table = crate::ViewTable::new(3);
+        let mut table = crate::ViewTable::new(3, &[0, 1]);
         let run = crate::PrefixRun::compute(pt.inputs(), pt.seq().clone(), &mut table);
         for p in 0..3 {
             for t in 0..=2 {

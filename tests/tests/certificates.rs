@@ -270,6 +270,7 @@ fn docs_certificates_md_matches_the_emitted_encoding() {
         "inadmissible-witness",
         "wrong-decision",
         "undecided",
+        "domain-too-large",
         "valence-mismatch",
         "chain-rejected",
     ] {

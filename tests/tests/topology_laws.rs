@@ -34,7 +34,7 @@ fn pseudo_metric_laws() {
         let (xa, sa) = random_run(&mut rng, 3, 4);
         let (xb, sb) = random_run(&mut rng, 3, 4);
         let (xc, sc) = random_run(&mut rng, 3, 4);
-        let mut table = ViewTable::new(3);
+        let mut table = ViewTable::new(3, &[0, 1, 2]);
         let a = materialize(3, &xa, &sa, &mut table);
         let b = materialize(3, &xb, &sb, &mut table);
         let c = materialize(3, &xc, &sc, &mut table);
@@ -72,7 +72,7 @@ fn contamination_is_exact() {
     for _ in 0..CASES {
         let (xa, sa) = random_run(&mut rng, 3, 5);
         let (xb, sb) = random_run(&mut rng, 3, 5);
-        let mut table = ViewTable::new(3);
+        let mut table = ViewTable::new(3, &[0, 1, 2]);
         let a = materialize(3, &xa, &sa, &mut table);
         let b = materialize(3, &xb, &sb, &mut table);
         let trace = contamination::finite_trace(&a, &b);
@@ -94,7 +94,7 @@ fn tau_is_continuous() {
     for _ in 0..CASES {
         let (xa, sa) = random_run(&mut rng, 2, 4);
         let (xb, sb) = random_run(&mut rng, 2, 4);
-        let mut table = ViewTable::new(2);
+        let mut table = ViewTable::new(2, &[0, 1, 2]);
         let a = materialize(2, &xa, &sa, &mut table);
         let b = materialize(2, &xb, &sb, &mut table);
         let ea = engine::run(&FullInfo, a.inputs(), a.seq());
@@ -119,7 +119,7 @@ fn divergence_is_monotone() {
     for _ in 0..CASES {
         let (xa, sa) = random_run(&mut rng, 3, 5);
         let (xb, sb) = random_run(&mut rng, 3, 5);
-        let mut table = ViewTable::new(3);
+        let mut table = ViewTable::new(3, &[0, 1, 2]);
         let a = materialize(3, &xa, &sa, &mut table);
         let b = materialize(3, &xb, &sb, &mut table);
         for p in 0..3 {
