@@ -473,7 +473,9 @@ fn cmd_check(args: &[String]) -> ExitCode {
         }
         for record in session.check_many(std::slice::from_ref(&query)).store.records() {
             errored |= record.outcome.verdict == "error";
-            emit(format_args!("{}", record.to_json()));
+            let mut line = String::new();
+            record.write_to(&mut line);
+            emit(format_args!("{line}"));
         }
     }
     let stats = session.space_cache().stats();

@@ -356,13 +356,13 @@ pub fn view_digest(table: &ViewTable, id: ViewId, memo: &mut HashMap<ViewId, u64
     if let Some(&d) = memo.get(&id) {
         return d;
     }
-    let data = table.data(id);
-    let digest = match table.prev(id) {
+    let (data, prev, received) = table.parts(id);
+    let digest = match prev {
         None => fnv(&[0, data.process as u64, u64::from(data.own_input())]),
         Some(prev) => {
             let mut words = vec![1, data.process as u64, view_digest(table, prev, memo)];
             let mut received: Vec<(Pid, u64)> =
-                table.received(id).map(|(q, v)| (q, view_digest(table, v, memo))).collect();
+                received.map(|(q, v)| (q, view_digest(table, v, memo))).collect();
             received.sort_unstable();
             for (q, d) in received {
                 words.push(q as u64);

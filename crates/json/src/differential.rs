@@ -1,4 +1,5 @@
-//! Differential test of the appending encoder (seeded, deterministic).
+//! Differential test of the appending encoder, and a fuzz of the parser
+//! (seeded, deterministic).
 //!
 //! Random values run through [`Value::write_to`] and, side by side,
 //! through a test-only copy of the `fmt`-based `Display` it replaced, with
@@ -12,6 +13,11 @@
 //! * the encoder's output equals the oracle's byte for byte, through
 //!   `write_to`, `to_string` and appending after existing text;
 //! * `parse(encode(v)) == v` for every value.
+//!
+//! The parser then reads random texts over a JSON alphabet and every
+//! encoded value with one byte replaced. Each input must parse to a value
+//! `v` with `parse(encode(v)) == v`, or fail with an offset inside the
+//! input; a panic fails the test.
 
 use std::fmt;
 
@@ -235,4 +241,59 @@ fn large_and_non_finite_floats_stay_json() {
     for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         assert_eq!(Value::Float(x).to_string(), "null");
     }
+}
+
+/// Bytes the parser fuzz draws from: structure, literals' letters, digits
+/// and number punctuation, escapes, whitespace and one multi-byte
+/// character.
+const FUZZ_ALPHABET: &[&str] = &[
+    "{", "}", "[", "]", ":", ",", "\"", "\\", "/", " ", "\n", "\t", "0", "1", "9", ".", "e", "E",
+    "+", "-", "t", "r", "u", "f", "a", "l", "s", "n", "b", "x", "A", "é",
+];
+
+/// `input` parses to a value that survives another encode and parse, or
+/// fails at an offset inside it.
+fn parses_or_fails_in_bounds(input: &str) -> bool {
+    match parse(input) {
+        Ok(v) => {
+            let encoded = v.to_string();
+            assert_eq!(parse(&encoded).as_ref(), Ok(&v), "{input:?} -> {encoded:?}");
+            true
+        }
+        Err(e) => {
+            assert!(e.at <= input.len(), "{input:?}: offset {} past the end", e.at);
+            false
+        }
+    }
+}
+
+#[test]
+fn parser_fuzz_round_trips_or_fails_in_bounds() {
+    let mut rng = Rng(0x0f0f_5eed_7e57);
+    let mut parsed = 0;
+    for _ in 0..20_000 {
+        let len = rng.below(24);
+        let text: String =
+            (0..len).map(|_| FUZZ_ALPHABET[rng.below(FUZZ_ALPHABET.len())]).collect();
+        parsed += usize::from(parses_or_fails_in_bounds(&text));
+    }
+    let alphabet = alphabet();
+    let (mut mutants, mut mutants_parsed) = (0, 0);
+    for _ in 0..2_000 {
+        let encoded = value(&mut rng, &alphabet, 4).to_string();
+        for _ in 0..8 {
+            let mut bytes = encoded.clone().into_bytes();
+            let at = rng.below(bytes.len());
+            bytes[at] = FUZZ_ALPHABET[rng.below(FUZZ_ALPHABET.len() - 1)].as_bytes()[0];
+            // A replaced byte inside a multi-byte character leaves no text.
+            if let Ok(text) = String::from_utf8(bytes) {
+                mutants += 1;
+                mutants_parsed += usize::from(parses_or_fails_in_bounds(&text));
+            }
+        }
+    }
+    // Both sides of the property must be exercised.
+    assert!(parsed > 50, "only {parsed} random texts parsed");
+    assert!(mutants > 10_000 && mutants_parsed > 1_000, "{mutants_parsed} of {mutants} mutants");
+    assert!(mutants_parsed < mutants, "no mutant failed");
 }

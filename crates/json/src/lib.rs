@@ -9,9 +9,11 @@
 //! repeated sweeps emit *byte-identical* JSONL, which the determinism tests
 //! compare directly), exact `u64` round-trips for fingerprints (emitted as
 //! hex strings), and a parser to read result files and request bodies back.
-//! The subset implemented is exactly what the store emits: objects, arrays,
-//! strings, integers, floats, bools, and null — no exponent-notation
-//! output, and `\uXXXX` escapes on output only for control bytes.
+//! The encoder writes objects, arrays, strings, integers, floats, bools and
+//! null, with `\uXXXX` escapes only for control bytes and exponent
+//! notation only for integral floats of magnitude 10^15 and above. The
+//! parser takes RFC 8259 text: numbers by its grammar (no `+`, no leading
+//! zeros, digits on both sides of a `.`), four hex digits after `\u`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -136,7 +138,7 @@ impl Value {
                 };
                 written.expect("writing to a String cannot fail");
             }
-            Value::Str(s) => push_escaped(out, s),
+            Value::Str(s) => write_str(out, s),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -153,7 +155,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    push_escaped(out, k);
+                    write_str(out, k);
                     out.push(':');
                     v.write_to(out);
                 }
@@ -190,7 +192,9 @@ fn push_int(out: &mut String, i: i64) {
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
-fn push_escaped(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal, as [`Value::write_to`] writes
+/// [`Value::Str`] and object keys.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     // Every byte that needs escaping is ASCII, so each run between two of
     // them starts and ends on a character boundary.
@@ -376,10 +380,13 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| err(*pos, "bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "bad \\u escape"))?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign.
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(err(*pos, "bad \\u escape"));
+                        }
+                        let hex = std::str::from_utf8(hex).expect("ASCII hex digits");
+                        let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                         // Surrogates are not produced by our encoder; reject.
                         let c = char::from_u32(code)
                             .ok_or_else(|| err(*pos, "unsupported \\u escape"))?;
@@ -419,28 +426,55 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     }
 }
 
+/// Parse a number by the RFC 8259 grammar
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`: an integer when it
+/// has neither fraction nor exponent, a float otherwise. A number outside
+/// `i64` or `f64` range is an error, since no emitted value reads back as
+/// one (non-finite floats are written as `null`).
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     let start = *pos;
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    let mut float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                float = true;
-                *pos += 1;
-            }
-            _ => break,
+    match bytes.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(pos);
         }
+        _ => return Err(err(*pos, "expected a digit")),
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii");
-    if float {
-        text.parse::<f64>().map(Value::Float).map_err(|_| err(start, "bad number"))
+    let mut float = false;
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(pos) == 0 {
+            return Err(err(*pos, "expected a digit after '.'"));
+        }
+        float = true;
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(err(*pos, "expected a digit in the exponent"));
+        }
+        float = true;
+    }
+    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII number");
+    let value = if float {
+        text.parse::<f64>().ok().filter(|x| x.is_finite()).map(Value::Float)
     } else {
-        text.parse::<i64>().map(Value::Int).map_err(|_| err(start, "bad number"))
-    }
+        text.parse::<i64>().ok().map(Value::Int)
+    };
+    value.ok_or_else(|| err(start, "number out of range"))
 }
 
 #[cfg(test)]
@@ -525,6 +559,43 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse(r#"{"a":1,"a":2}"#).is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for bad in ["+1", ".5", "1.", "1.e5", "-.5", "01", "-01", "00", "-", "1e", "1e+", "0x1"] {
+            assert!(parse(bad).is_err(), "{bad} must not parse");
+        }
+        for (good, value) in [
+            ("0", Value::Int(0)),
+            ("-0", Value::Int(0)),
+            ("10", Value::Int(10)),
+            ("0.5", Value::Float(0.5)),
+            ("-0.5", Value::Float(-0.5)),
+            ("1e5", Value::Float(1e5)),
+            ("1E+5", Value::Float(1e5)),
+            ("25e-1", Value::Float(2.5)),
+            ("1e-400", Value::Float(0.0)),
+        ] {
+            assert_eq!(parse(good), Ok(value), "{good}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_errors() {
+        for text in ["1e400", "-1e400", "9223372036854775808", "[1,2e999]"] {
+            let error = parse(text).unwrap_err();
+            assert_eq!(error.message, "number out of range", "{text}");
+        }
+        assert_eq!(parse("-9223372036854775808"), Ok(Value::Int(i64::MIN)));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for bad in [r#""\u+123""#, r#""\u-123""#, r#""\u12g4""#, r#""\u12""#, r#""\u 123""#] {
+            assert!(parse(bad).is_err(), "{bad} must not parse");
+        }
+        assert_eq!(parse(r#""\u00e9\u0041""#), Ok(Value::Str("éA".into())));
     }
 
     #[test]

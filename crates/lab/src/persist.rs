@@ -132,8 +132,9 @@ pub struct DiskEntry {
     pub space: Option<SpaceStats>,
     /// The checkable certificate extracted with a definitive solvability
     /// verdict (the `consensus-cert/v1` JSON object), journaled so a warm
-    /// process can hand it out with **zero** re-expansions.
-    pub certificate: Option<Value>,
+    /// process can hand it out with **zero** re-expansions. Shared with
+    /// the records that carry it.
+    pub certificate: Option<Arc<Value>>,
 }
 
 impl DiskEntry {
@@ -164,7 +165,7 @@ impl DiskEntry {
             ));
         }
         if let Some(cert) = &self.certificate {
-            fields.push(("certificate".into(), cert.clone()));
+            fields.push(("certificate".into(), Value::clone(cert)));
         }
         Value::Obj(fields)
     }
@@ -193,7 +194,7 @@ impl DiskEntry {
             DiskEntry {
                 outcome: Outcome { verdict, details: detail_fields.clone() },
                 space,
-                certificate: v.get("certificate").cloned(),
+                certificate: v.get("certificate").cloned().map(Arc::new),
             },
         ))
     }

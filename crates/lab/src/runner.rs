@@ -344,6 +344,10 @@ struct BuiltAdversary {
     n: usize,
     compact: bool,
     expected: Option<ExpectedOutcome>,
+    /// Encoded certificates, keyed `Some(depth)` for a solvable verdict
+    /// certified at `depth` and `None` for an unsolvable one; see
+    /// [`certificate`](Self::certificate).
+    certificates: Mutex<HashMap<Option<usize>, Option<Arc<Json>>>>,
 }
 
 impl BuiltAdversary {
@@ -358,7 +362,28 @@ impl BuiltAdversary {
             compact: ma.is_compact(),
             expected: spec.expected(),
             ma,
+            certificates: Mutex::default(),
         })
+    }
+
+    /// The encoded certificate under `key`: `extract`ed and encoded on the
+    /// first request, shared by every later one. A fresh extraction would
+    /// build the same certificate: the build fixes its label, fingerprint,
+    /// `n` and domain, the runner fixes the analysis config, a solvable
+    /// certificate is read off the cached space at its certified depth,
+    /// and an unsolvable one off the chain the cache memoizes per
+    /// fingerprint.
+    fn certificate(
+        &self,
+        key: Option<usize>,
+        extract: impl FnOnce() -> Option<Certificate>,
+    ) -> Option<Arc<Json>> {
+        // Extracted under the lock, so racing workers wait for the one
+        // extraction instead of repeating it.
+        let mut memo = self.certificates.lock().expect("certificate memo lock poisoned");
+        memo.entry(key)
+            .or_insert_with(|| extract().map(|c| Arc::new(c.to_json())))
+            .clone()
     }
 }
 
@@ -482,7 +507,7 @@ fn execute_built(
 
     // Extracted alongside every definitive solvability verdict (and always
     // journaled); attached to the record only when the scenario opted in.
-    let mut extracted_cert: Option<Json> = None;
+    let mut extracted_cert: Option<Arc<Json>> = None;
     match scenario.analysis {
         AnalysisKind::Solvability => {
             let checker = SolvabilityChecker::with_config(
@@ -494,7 +519,9 @@ fn execute_built(
             extracted_cert = match &verdict {
                 // The decision space at the certified depth is already in
                 // the shared cache (the checker just expanded it), so this
-                // lookup is a pure hit — extraction never re-expands.
+                // lookup is a pure hit — extraction never re-expands. It
+                // runs whether or not the memo answers, so the cache
+                // counters do not depend on the memo.
                 Verdict::Solvable(cert) => cache
                     .space_with_meta(
                         checker.adversary(),
@@ -504,25 +531,23 @@ fn execute_built(
                     )
                     .ok()
                     .and_then(|(space, _)| {
-                        Certificate::from_solvable(
-                            cert,
-                            &space,
-                            &record.adversary,
-                            record.fingerprint,
-                        )
+                        ma.certificate(Some(cert.depth), || {
+                            Certificate::from_solvable(cert, &space, &ma.label, ma.fingerprint)
+                        })
                     }),
                 Verdict::Unsolvable(UnsolvableCert::ZeroChain(chain)) => {
-                    Certificate::from_unsolvable(
-                        chain,
-                        &record.adversary,
-                        record.fingerprint,
-                        record.n,
-                        SWEEP_VALUES,
-                    )
+                    ma.certificate(None, || {
+                        Certificate::from_unsolvable(
+                            chain,
+                            &ma.label,
+                            ma.fingerprint,
+                            ma.n,
+                            SWEEP_VALUES,
+                        )
+                    })
                 }
                 Verdict::Undecided(_) => None,
-            }
-            .map(|c| c.to_json());
+            };
             record.outcome = solvability_outcome(&verdict);
             record.budget_hit = matches!(&verdict, Verdict::Undecided(rep) if rep.budget_hit);
             if let Some(expected) = record.expected {

@@ -11,6 +11,7 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use consensus_core::space::SpaceStats;
 use consensus_obs::trace::tracer;
@@ -77,8 +78,9 @@ pub struct ScenarioRecord {
     pub matches_expected: Option<bool>,
     /// The checkable certificate (the `consensus-cert/v1` JSON object of
     /// [`consensus_core::certificate`]), attached when the scenario opted
-    /// in and the verdict is definitive.
-    pub certificate: Option<Value>,
+    /// in and the verdict is definitive. Shared: the records and journal
+    /// entries of one spec's verdict hold one copy.
+    pub certificate: Option<Arc<Value>>,
     /// State-space telemetry of the deepest space this scenario touched.
     pub space: Option<SpaceStats>,
     /// Whether that space came out of the shared cache.
@@ -89,57 +91,135 @@ pub struct ScenarioRecord {
     pub wall_ms: f64,
 }
 
-impl ScenarioRecord {
-    /// The record as an order-stable JSON object.
-    pub fn to_json(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = vec![
-            ("index".into(), Value::Int(self.index as i64)),
-            ("adversary".into(), Value::Str(self.adversary.clone())),
-            ("describe".into(), Value::Str(self.describe.clone())),
-            ("fingerprint".into(), Value::Str(format!("{:016x}", self.fingerprint))),
-            ("n".into(), Value::Int(self.n as i64)),
-            ("compact".into(), Value::Bool(self.compact)),
-            ("depth".into(), Value::Int(self.depth as i64)),
-            ("analysis".into(), Value::Str(self.analysis.name().into())),
-            ("verdict".into(), Value::Str(self.outcome.verdict.clone())),
-        ];
-        for (k, v) in &self.outcome.details {
-            fields.push((k.clone(), v.clone()));
+/// One field value of a record, borrowed from it.
+#[derive(Clone, Copy)]
+enum Field<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    /// A fingerprint: 16 lowercase hex digits, as a string.
+    Hex(u64),
+    /// The space counters, as a `runs`/`views`/`components` object.
+    Space(SpaceStats),
+    Json(&'a Value),
+}
+
+impl Field<'_> {
+    fn to_value(self) -> Value {
+        match self {
+            Field::Null => Value::Null,
+            Field::Bool(b) => Value::Bool(b),
+            Field::Int(i) => Value::Int(i),
+            Field::Float(x) => Value::Float(x),
+            Field::Str(s) => Value::Str(s.to_string()),
+            Field::Hex(x) => Value::Str(format!("{x:016x}")),
+            Field::Space(stats) => object_value(&space_fields(stats)),
+            Field::Json(v) => v.clone(),
         }
+    }
+
+    /// Append the field's JSON text, byte for byte what
+    /// [`Value::write_to`] writes for [`to_value`](Self::to_value).
+    fn write_to(self, out: &mut String) {
+        match self {
+            // A scalar `Value` owns no allocation.
+            Field::Null | Field::Bool(_) | Field::Int(_) | Field::Float(_) => {
+                self.to_value().write_to(out);
+            }
+            Field::Str(s) => json::write_str(out, s),
+            Field::Hex(x) => {
+                use std::fmt::Write;
+                write!(out, "\"{x:016x}\"").expect("writing to a String cannot fail");
+            }
+            Field::Space(stats) => write_object(out, &space_fields(stats)),
+            Field::Json(v) => v.write_to(out),
+        }
+    }
+}
+
+fn space_fields(stats: SpaceStats) -> [(&'static str, Field<'static>); 3] {
+    [
+        ("runs", Field::Int(stats.runs as i64)),
+        ("views", Field::Int(stats.views as i64)),
+        ("components", Field::Int(stats.components as i64)),
+    ]
+}
+
+fn object_value(fields: &[(&str, Field<'_>)]) -> Value {
+    Value::Obj(fields.iter().map(|&(k, v)| (k.to_string(), v.to_value())).collect())
+}
+
+fn write_object(out: &mut String, fields: &[(&str, Field<'_>)]) {
+    out.push('{');
+    for (i, &(k, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_str(out, k);
+        out.push(':');
+        v.write_to(out);
+    }
+    out.push('}');
+}
+
+impl ScenarioRecord {
+    /// The record's fields in output order, borrowed from it: the one
+    /// place that order lives.
+    fn fields(&self) -> Vec<(&str, Field<'_>)> {
+        let mut fields = Vec::with_capacity(15 + self.outcome.details.len());
+        fields.extend([
+            ("index", Field::Int(self.index as i64)),
+            ("adversary", Field::Str(&self.adversary)),
+            ("describe", Field::Str(&self.describe)),
+            ("fingerprint", Field::Hex(self.fingerprint)),
+            ("n", Field::Int(self.n as i64)),
+            ("compact", Field::Bool(self.compact)),
+            ("depth", Field::Int(self.depth as i64)),
+            ("analysis", Field::Str(self.analysis.name())),
+            ("verdict", Field::Str(&self.outcome.verdict)),
+        ]);
+        fields.extend(self.outcome.details.iter().map(|(k, v)| (k.as_str(), Field::Json(v))));
         fields.push((
-            "expected".into(),
+            "expected",
             match self.expected {
-                None => Value::Null,
-                Some(None) => Value::Str("mixed".into()),
-                Some(Some(true)) => Value::Str("solvable".into()),
-                Some(Some(false)) => Value::Str("unsolvable".into()),
+                None => Field::Null,
+                Some(None) => Field::Str("mixed"),
+                Some(Some(true)) => Field::Str("solvable"),
+                Some(Some(false)) => Field::Str("unsolvable"),
             },
         ));
         if let Some(m) = self.matches_expected {
-            fields.push(("matches_expected".into(), Value::Bool(m)));
+            fields.push(("matches_expected", Field::Bool(m)));
         }
         // After `expected`, the positional-details anchor: everything
         // between `verdict` and `expected` is outcome detail, so the
         // certificate object must land strictly after.
         if let Some(cert) = &self.certificate {
-            fields.push(("certificate".into(), cert.clone()));
+            fields.push(("certificate", Field::Json(cert)));
         }
         if let Some(stats) = self.space {
-            fields.push((
-                "space".into(),
-                Value::Obj(vec![
-                    ("runs".into(), Value::Int(stats.runs as i64)),
-                    ("views".into(), Value::Int(stats.views as i64)),
-                    ("components".into(), Value::Int(stats.components as i64)),
-                ]),
-            ));
+            fields.push(("space", Field::Space(stats)));
         }
         if let Some(cached) = self.cached_space {
-            fields.push(("cached_space".into(), Value::Bool(cached)));
+            fields.push(("cached_space", Field::Bool(cached)));
         }
-        fields.push(("budget_hit".into(), Value::Bool(self.budget_hit)));
-        fields.push(("wall_ms".into(), Value::Float(self.wall_ms)));
-        Value::Obj(fields)
+        fields.push(("budget_hit", Field::Bool(self.budget_hit)));
+        fields.push(("wall_ms", Field::Float(self.wall_ms)));
+        fields
+    }
+
+    /// The record as an order-stable JSON object.
+    pub fn to_json(&self) -> Value {
+        object_value(&self.fields())
+    }
+
+    /// Append the record's JSON text to `out`: byte for byte
+    /// `to_json().to_string()`, without building the tree or copying the
+    /// certificate.
+    pub fn write_to(&self, out: &mut String) {
+        write_object(out, &self.fields());
     }
 
     /// Reconstitute a record from its [`to_json`](Self::to_json) form —
@@ -223,13 +303,15 @@ impl ScenarioRecord {
             outcome: Outcome { verdict: str_field("verdict")?, details },
             expected,
             matches_expected: v.get("matches_expected").and_then(Value::as_bool),
-            certificate: v.get("certificate").cloned(),
+            certificate: v.get("certificate").cloned().map(Arc::new),
             space,
             cached_space: v.get("cached_space").and_then(Value::as_bool),
             budget_hit: bool_field("budget_hit")?,
             wall_ms: match v.get("wall_ms") {
                 Some(Value::Float(x)) => *x,
                 Some(Value::Int(i)) => *i as f64,
+                // The encoder writes a non-finite float as `null`.
+                Some(Value::Null) => f64::NAN,
                 _ => return Err("missing numeric field \"wall_ms\"".to_string()),
             },
         })
@@ -316,7 +398,7 @@ impl ResultStore {
         let _span = tracer().span("record.encode").with_attr("records", self.records.len());
         let mut out = String::new();
         for r in &self.records {
-            r.to_json().write_to(&mut out);
+            r.write_to(&mut out);
             out.push('\n');
         }
         out

@@ -642,6 +642,11 @@ impl ViewTable {
     /// Panics if `id` does not belong to this table.
     pub fn data(&self, id: ViewId) -> ViewData<'_> {
         let (s, code) = self.locate(id);
+        self.data_at(s, code)
+    }
+
+    /// Metadata of the view with rank `code` in shape position `s`.
+    fn data_at(&self, s: usize, code: u64) -> ViewData<'_> {
         let e = &self.store.entries[s];
         ViewData {
             process: usize::from(e.p),
@@ -652,31 +657,46 @@ impl ViewTable {
         }
     }
 
+    /// A view decoded once: its metadata, its previous view (`None` for
+    /// initial views) and the `(sender, view)` pairs received in its round,
+    /// sorted by sender (none for initial views).
+    ///
+    /// # Panics
+    /// Panics if `id` does not belong to this table.
+    pub fn parts(
+        &self,
+        id: ViewId,
+    ) -> (ViewData<'_>, Option<ViewId>, impl ExactSizeIterator<Item = (Pid, ViewId)> + '_) {
+        let (s, code) = self.locate(id);
+        let e = &self.store.entries[s];
+        let labels = self.radix.unrank(e.heard, code);
+        let prev = (e.time > 0).then(|| self.view(ShapeId(e.prev), labels));
+        let received = self.store.key(s).received.iter().map(move |&r| {
+            let r = ShapeId(r);
+            (usize::from(self.store.entries[r.index()].p), self.view(r, labels))
+        });
+        (self.data_at(s, code), prev, received)
+    }
+
     /// The `(sender, view)` pairs received in the view's round, sorted by
     /// sender (none for initial views).
     pub fn received(&self, id: ViewId) -> impl ExactSizeIterator<Item = (Pid, ViewId)> + '_ {
-        let (shape, labels) = self.decode(id);
-        self.store.key(shape.index()).received.iter().map(move |&s| {
-            let s = ShapeId(s);
-            (usize::from(self.store.entries[s.index()].p), self.view(s, labels))
-        })
+        self.parts(id).2
     }
 
     /// The previous view of the same process, or `None` for initial views.
     pub fn prev(&self, id: ViewId) -> Option<ViewId> {
-        let (shape, labels) = self.decode(id);
-        let e = &self.store.entries[shape.index()];
-        (e.time > 0).then(|| self.view(ShapeId(e.prev), labels))
+        self.parts(id).1
     }
 
     /// Render a view as a nested term, e.g. `p0[p0(x=1) | p1(x=0)←p1]`.
     pub fn render(&self, id: ViewId) -> String {
-        let data = self.data(id);
-        match self.prev(id) {
+        let (data, prev, received) = self.parts(id);
+        match prev {
             None => format!("p{}(x={})", data.process, data.own_input()),
             Some(prev) => {
                 let mut s = format!("p{}[{}", data.process, self.render(prev));
-                for (q, v) in self.received(id) {
+                for (q, v) in received {
                     s.push_str(&format!(" | {}←p{q}", self.render(v)));
                 }
                 s.push(']');

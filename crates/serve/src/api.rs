@@ -10,7 +10,7 @@
 //!
 //! | Method | Path          | Body                                   | Answer |
 //! |--------|---------------|----------------------------------------|--------|
-//! | POST   | `/v1/check`   | one query object                       | the [`ScenarioRecord`] JSON |
+//! | POST   | `/v1/check`   | one query object                       | the [`ScenarioRecord`](consensus_lab::store::ScenarioRecord) JSON |
 //! | POST   | `/v1/sweep`   | a grid (`catalog`+`max_depth` or `queries`), optional `"shard":"i/n"` | `records` + `meta` |
 //! | GET    | `/v1/journal/segment` | —                              | the verdict journal as an absorbable warm-start segment |
 //! | GET    | `/v1/trace?since=ID` | —                               | this worker's span-ring fragment past the cursor (non-destructive) |
@@ -38,7 +38,6 @@ use consensus_core::error::Error;
 use consensus_lab::report::SweepMeta;
 use consensus_lab::scenario::{AdversarySpec, AnalysisKind, Shard};
 use consensus_lab::session::{Query, Session};
-use consensus_lab::store::ScenarioRecord;
 use consensus_obs::metrics::registry;
 use consensus_obs::prom;
 use consensus_obs::trace::{trace_id, tracer, TraceContext, TRACE_HEADER};
@@ -285,7 +284,11 @@ impl App {
             Err(response) => return response,
         };
         match self.session.check(&query) {
-            Ok(record) => Response::ok(record.to_json().to_string()),
+            Ok(record) => {
+                let mut body = String::new();
+                record.write_to(&mut body);
+                Response::ok(body)
+            }
             Err(err) => Response::from_error(&err),
         }
     }
@@ -308,15 +311,19 @@ impl App {
             cache: report.cache,
             expand: report.expand,
         };
-        let records: Vec<Value> =
-            report.store.records().iter().map(ScenarioRecord::to_json).collect();
-        Response::ok(
-            Value::Obj(vec![
-                ("records".into(), Value::Arr(records)),
-                ("meta".into(), meta.to_json()),
-            ])
-            .to_string(),
-        )
+        // The text of `{"records": [...], "meta": ...}`, with each record
+        // appended straight into the body.
+        let mut body = String::from("{\"records\":[");
+        for (i, record) in report.store.records().iter().enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            record.write_to(&mut body);
+        }
+        body.push_str("],\"meta\":");
+        meta.to_json().write_to(&mut body);
+        body.push('}');
+        Response::ok(body)
     }
 
     fn catalog(&self) -> Response {

@@ -1,21 +1,26 @@
 //! Certificate acceptance properties: every definitive catalog verdict at
 //! depths 1..=3 yields a certificate that re-verifies offline without any
-//! prefix-space expansion; the four tampering classes are rejected with
-//! their typed [`CertError`]s; journaled certificates survive a
-//! disk-backed restart with zero re-expansions; and the documented schema
-//! (`docs/certificates.md`) stays in sync with the emitted encoding.
+//! prefix-space expansion; one batch shares one certificate per spec,
+//! verdict and certified depth, equal to a fresh extraction; the four
+//! tampering classes are rejected with their typed [`CertError`]s;
+//! journaled certificates survive a disk-backed restart with zero
+//! re-expansions; and the documented schema (`docs/certificates.md`)
+//! stays in sync with the emitted encoding.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use consensus_core::certificate::CERT_VERSION;
+use consensus_core::solvability::{SolvabilityChecker, UnsolvableCert, Verdict};
 use consensus_core::{CertError, Certificate};
 use consensus_lab::json::Value;
-use consensus_lab::scenario::AnalysisKind;
+use consensus_lab::runner::SWEEP_VALUES;
+use consensus_lab::scenario::{AdversarySpec, AnalysisKind};
 use consensus_lab::session::{certificate_adversary, verify_certificate, Query, Session};
 use consensus_lab::store::TIMING_FIELDS;
-use consensus_lab::{AnalysisConfig, CacheConfig, ExpandConfig};
+use consensus_lab::{AnalysisConfig, CacheConfig, ExpandConfig, SpaceCache};
 
 fn session(cache: CacheConfig) -> Session {
     Session::with_configs(ExpandConfig::with_budget(2_000_000), AnalysisConfig::default(), cache)
@@ -90,12 +95,106 @@ fn every_definitive_catalog_verdict_certifies_at_depths_1_to_3() {
     );
 }
 
+/// A fresh extraction: the checker run from scratch at `depth`, the
+/// certificate read off its verdict and encoded.
+fn fresh_certificate(spec: &AdversarySpec, depth: usize) -> Value {
+    let ma = spec.build().expect("spec builds");
+    let cache = SpaceCache::new();
+    let checker = SolvabilityChecker::with_config(
+        &*ma,
+        AnalysisConfig::default().max_depth(depth),
+        ExpandConfig::with_budget(2_000_000),
+    );
+    let (label, fingerprint) = (spec.label(), ma.fingerprint());
+    let cert = match checker.check_via(&cache) {
+        Verdict::Solvable(cert) => {
+            let (space, _) = cache
+                .space_with_meta(&*ma, SWEEP_VALUES, cert.depth, 2_000_000)
+                .expect("the certified space is cached");
+            Certificate::from_solvable(&cert, &space, &label, fingerprint)
+        }
+        Verdict::Unsolvable(UnsolvableCert::ZeroChain(chain)) => {
+            Certificate::from_unsolvable(&chain, &label, fingerprint, ma.n(), SWEEP_VALUES)
+        }
+        Verdict::Undecided(_) => None,
+    };
+    cert.expect("a definitive verdict certifies").to_json()
+}
+
+/// In one batch, the definitive records of a spec share one certificate
+/// (one `Arc`) per verdict and certified depth, and each shared
+/// certificate is the one a fresh extraction builds, and verifies. Two
+/// specs with one fingerprint but different labels (`cgp-reduced-lossy-link`
+/// and `pool(<- ->)`) keep their own; `sw-lossy-link` and its alias
+/// `all-rooted-2` are undecided and carry none.
+#[test]
+fn one_certificate_per_spec_verdict_and_depth() {
+    let mut specs: Vec<AdversarySpec> = adversary::catalog::entries()
+        .iter()
+        .map(|e| AdversarySpec::catalog(e.name))
+        .collect();
+    specs.push(AdversarySpec::parse("pool(<- ->)").expect("spec parses"));
+    let queries: Vec<Query> = Query::grid(&specs, 6, &[AnalysisKind::Solvability])
+        .into_iter()
+        .map(Query::with_certificate)
+        .collect();
+    let report = session(CacheConfig::default()).check_many(&queries);
+    let mut shared: HashMap<(String, String, i64), Arc<Value>> = HashMap::new();
+    let mut definitive = 0;
+    for (record, query) in report.store.records().iter().zip(&queries) {
+        let Some(cert) = &record.certificate else {
+            assert!(!matches!(record.outcome.verdict.as_str(), "solvable" | "unsolvable"));
+            continue;
+        };
+        definitive += 1;
+        let certified_depth = record
+            .outcome
+            .details
+            .iter()
+            .find(|(k, _)| k == "solvable_depth")
+            .map_or(-1, |(_, v)| v.as_i64().expect("integer depth"));
+        let key = (record.adversary.clone(), record.outcome.verdict.clone(), certified_depth);
+        match shared.get(&key) {
+            Some(first) => assert!(Arc::ptr_eq(first, cert), "{key:?} at depth {}", record.depth),
+            None => {
+                assert_eq!(**cert, fresh_certificate(&query.spec, record.depth), "{key:?}");
+                verify_certificate(&decode(cert), query).expect("shared certificate verifies");
+                shared.insert(key, Arc::clone(cert));
+            }
+        }
+    }
+    assert!(
+        definitive > 2 * shared.len(),
+        "{definitive} definitive records, {} certificates",
+        shared.len()
+    );
+
+    let cert_of = |label: &str| {
+        shared
+            .iter()
+            .find(|((adversary, _, _), _)| adversary == label)
+            .map(|(_, cert)| Arc::clone(cert))
+    };
+    let fingerprint = |label: &str| {
+        let record = report.store.records().iter().find(|r| r.adversary == label);
+        record.expect("label in the batch").fingerprint
+    };
+    assert_eq!(fingerprint("cgp-reduced-lossy-link"), fingerprint("pool(<- ->)"));
+    let (named, pooled) =
+        (cert_of("cgp-reduced-lossy-link").unwrap(), cert_of("pool(<- ->)").unwrap());
+    assert_eq!(decode(&named).adversary(), "cgp-reduced-lossy-link");
+    assert_eq!(decode(&pooled).adversary(), "pool(<- ->)");
+    assert_eq!(fingerprint("sw-lossy-link"), fingerprint("all-rooted-2"));
+    assert!(cert_of("sw-lossy-link").is_none() && cert_of("all-rooted-2").is_none());
+}
+
 fn solvable_cert_json() -> (Value, Query) {
     let query =
         Query::catalog("cgp-reduced-lossy-link", 1, AnalysisKind::Solvability).with_certificate();
     let record = session(CacheConfig::default()).check(&query).expect("catalog entry builds");
     assert_eq!(record.outcome.verdict, "solvable");
-    (record.certificate.expect("definitive verdict carries a certificate"), query)
+    let cert = record.certificate.expect("definitive verdict carries a certificate");
+    (Arc::unwrap_or_clone(cert), query)
 }
 
 fn field_mut<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
