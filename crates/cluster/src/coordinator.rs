@@ -24,9 +24,10 @@
 //! fragments — ids remapped collision-free, spans tagged with a `node`
 //! label, worker roots re-parented under the coordinator's spans —
 //! into one cross-node trace. Independently of tracing it can poll
-//! `/v1/stats` and fold the workers' counters and log-bucketed
-//! histograms (exact bucket-wise merges) into a fleet snapshot, and
-//! emit live shard-lifecycle events through [`crate::events`].
+//! `/v1/stats` and merge the workers' registry snapshots (counters
+//! summed, log-bucketed histograms merged exactly, bucket-wise) into a
+//! fleet snapshot, and emit live shard-lifecycle events through
+//! [`crate::events`].
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::time::Duration;
@@ -36,9 +37,10 @@ use consensus_lab::report::SweepMeta;
 use consensus_lab::scenario::{AdversarySpec, AnalysisKind, Shard};
 use consensus_lab::session::Query;
 use consensus_lab::store::ScenarioRecord;
-use consensus_obs::metrics::{registry, HistogramSnapshot};
+use consensus_obs::metrics::{registry, RegistrySnapshot};
 use consensus_obs::trace::{trace_id, tracer, TraceContext, TRACE_HEADER};
 use consensus_serve::client::Client;
+use consensus_serve::metrics::{requests_total, snapshot_from_json, snapshot_to_json};
 
 use crate::events::EventSink;
 use crate::spotcheck::{self, SpotCheckSummary};
@@ -136,9 +138,9 @@ pub struct ClusterOutcome {
     /// process's tracer.
     pub stitched_spans: Vec<String>,
     /// The fleet metrics snapshot (`cluster-stats.json`): per-worker
-    /// request totals plus the workers' obs registries folded into one —
-    /// counters summed, histograms merged bucket-wise. `None` when no
-    /// worker could be polled.
+    /// request totals plus the workers' registry snapshots merged into
+    /// one — counters summed, histograms merged bucket-wise. `None` when
+    /// no worker could be polled.
     pub fleet: Option<Value>,
 }
 
@@ -531,18 +533,14 @@ fn field_u64(value: &Value, key: &str) -> Option<u64> {
 }
 
 /// Poll `/v1/stats` on every live worker and fold the answers into one
-/// fleet snapshot: per-worker request totals kept apart, the obs
-/// registries merged — counters summed, histograms merged bucket-wise
-/// (exact, because the log-bucketed histograms make merge commutative
-/// and associative), with the quantiles recomputed from the merged
-/// buckets rather than averaged.
+/// fleet snapshot: each worker's entry ([`worker_entry`]) kept apart, and
+/// their registry snapshots merged by [`RegistrySnapshot::merge`] —
+/// counters summed, histograms merged bucket-wise, so the fleet quantiles
+/// are recomputed from the merged buckets rather than averaged — then
+/// encoded as `/v1/stats` encodes one worker's.
 fn fleet_snapshot(cfg: &ClusterConfig, alive: &[bool], stats: &ClusterStats) -> Option<Value> {
     let mut per_worker: Vec<(String, Value)> = Vec::new();
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    #[allow(clippy::type_complexity)]
-    let mut histograms: BTreeMap<String, (u64, u64, u64, BTreeMap<u64, u64>)> = BTreeMap::new();
-    let mut requests_total = 0u64;
-    let mut polled = 0usize;
+    let mut merged: Option<RegistrySnapshot> = None;
     for (worker, addr) in cfg.workers.iter().enumerate() {
         let answer = alive[worker]
             .then(|| {
@@ -551,98 +549,47 @@ fn fleet_snapshot(cfg: &ClusterConfig, alive: &[bool], stats: &ClusterStats) -> 
             })
             .and_then(Result::ok)
             .filter(|answer| answer.status == 200)
-            .and_then(|answer| consensus_lab::json::parse(&answer.body).ok());
-        let Some(value) = answer else {
+            .and_then(|answer| worker_entry(&answer.body));
+        let Some((entry, snap)) = answer else {
             per_worker
                 .push((addr.clone(), Value::Obj(vec![("reachable".into(), Value::Bool(false))])));
             continue;
         };
-        polled += 1;
-        let mut worker_requests = 0u64;
-        if let Some(Value::Obj(endpoints)) = value.get("endpoints") {
-            for (_, endpoint) in endpoints {
-                worker_requests += endpoint.get_usize("count").unwrap_or(0) as u64;
-            }
-        }
-        requests_total += worker_requests;
-        let registry = value.get("registry");
-        if let Some(Value::Obj(names)) = registry.and_then(|r| r.get("counters")) {
-            for (name, count) in names {
-                let count = count.as_i64().and_then(|n| u64::try_from(n).ok()).unwrap_or(0);
-                *counters.entry(name.clone()).or_insert(0) += count;
-            }
-        }
-        if let Some(Value::Obj(names)) = registry.and_then(|r| r.get("histograms_ns")) {
-            for (name, hist) in names {
-                let fold = histograms.entry(name.clone()).or_default();
-                fold.0 += field_u64(hist, "count").unwrap_or(0);
-                fold.1 += field_u64(hist, "sum").unwrap_or(0);
-                fold.2 = fold.2.max(field_u64(hist, "max").unwrap_or(0));
-                if let Some(Value::Arr(buckets)) = hist.get("buckets") {
-                    for pair in buckets {
-                        if let Value::Arr(pair) = pair {
-                            if let (Some(bound), Some(count)) = (
-                                pair.first().and_then(Value::as_i64),
-                                pair.get(1).and_then(Value::as_i64),
-                            ) {
-                                *fold.3.entry(bound.max(0) as u64).or_insert(0) +=
-                                    count.max(0) as u64;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        per_worker.push((
-            addr.clone(),
-            Value::Obj(vec![
-                ("reachable".into(), Value::Bool(true)),
-                ("requests_total".into(), Value::Int(worker_requests as i64)),
-                ("trace".into(), value.get("trace").cloned().unwrap_or(Value::Null)),
-            ]),
-        ));
+        per_worker.push((addr.clone(), entry));
+        merged = Some(match merged {
+            None => snap,
+            Some(fold) => fold.merge(&snap),
+        });
     }
-    if polled == 0 {
-        return None;
+    let merged = merged?;
+    let mut merged_block =
+        vec![("requests_total".into(), Value::Int(requests_total(&merged) as i64))];
+    if let Value::Obj(fields) = snapshot_to_json(&merged) {
+        merged_block.extend(fields);
     }
-    let merged_counters: Vec<(String, Value)> = counters
-        .into_iter()
-        .map(|(name, count)| (name, Value::Int(count as i64)))
-        .collect();
-    let merged_histograms: Vec<(String, Value)> = histograms
-        .into_iter()
-        .map(|(name, (count, sum, max, buckets))| {
-            let snap =
-                HistogramSnapshot { count, sum, max, buckets: buckets.into_iter().collect() };
-            (
-                name,
-                Value::Obj(vec![
-                    ("count".into(), Value::Int(snap.count as i64)),
-                    ("sum".into(), Value::Int(snap.sum as i64)),
-                    ("max".into(), Value::Int(snap.max as i64)),
-                    ("p50".into(), Value::Int(snap.quantile(0.5) as i64)),
-                    ("p90".into(), Value::Int(snap.quantile(0.9) as i64)),
-                    ("p99".into(), Value::Int(snap.quantile(0.99) as i64)),
-                ]),
-            )
-        })
-        .collect();
     Some(Value::Obj(vec![
         (
             "workers".into(),
             Value::Arr(cfg.workers.iter().map(|addr| Value::Str(addr.clone())).collect()),
         ),
         ("workers_dead".into(), Value::Int(stats.workers_dead as i64)),
-        (
-            "merged".into(),
-            Value::Obj(vec![
-                ("requests_total".into(), Value::Int(requests_total as i64)),
-                ("counters".into(), Value::Obj(merged_counters)),
-                ("histograms_ns".into(), Value::Obj(merged_histograms)),
-            ]),
-        ),
+        ("merged".into(), Value::Obj(merged_block)),
         ("per_worker".into(), Value::Obj(per_worker)),
     ]))
+}
+
+/// One worker's `/v1/stats` body as its fleet-snapshot entry
+/// (`reachable`, `requests_total`, `trace`) and its decoded registry
+/// snapshot; `None` when the body is not a stats page.
+fn worker_entry(body: &str) -> Option<(Value, RegistrySnapshot)> {
+    let page = consensus_lab::json::parse(body).ok()?;
+    let snap = snapshot_from_json(page.get("registry")?)?;
+    let entry = Value::Obj(vec![
+        ("reachable".into(), Value::Bool(true)),
+        ("requests_total".into(), Value::Int(requests_total(&snap) as i64)),
+        ("trace".into(), page.get("trace").cloned().unwrap_or(Value::Null)),
+    ]);
+    Some((entry, snap))
 }
 
 /// The `/v1/sweep` body for one shard: the catalog grid (or the
@@ -917,5 +864,30 @@ mod tests {
             harvest.stitch(&cfg, Some(7)).iter().map(|line| parse(line)).collect();
         assert_eq!(spans.len(), 1);
         assert_eq!(field_u64(&spans[0], "parent"), Some(7));
+    }
+
+    /// A worker's entry counts every request its request histograms
+    /// recorded, unrouted ones included, and keeps its registry for the
+    /// merge.
+    #[test]
+    fn worker_entry_counts_unrouted_requests() {
+        use consensus_serve::http::Request;
+        let app = consensus_serve::App::new(consensus_lab::session::Session::new());
+        let get = |target: &str| Request {
+            method: "GET".into(),
+            target: target.into(),
+            headers: Vec::new(),
+            body: Vec::new(),
+            keep_alive: true,
+        };
+        assert_eq!(app.handle(&get("/healthz")).status, 200);
+        assert_eq!(app.handle(&get("/nope")).status, 404);
+        let stats = app.handle(&get("/v1/stats"));
+        let (entry, snap) = worker_entry(&stats.body).expect("a stats page");
+        assert_eq!(entry.get("reachable").and_then(Value::as_bool), Some(true));
+        assert_eq!(entry.get("requests_total").and_then(Value::as_i64), Some(2));
+        assert!(entry.get("trace").and_then(|t| t.get("spans_started")).is_some());
+        assert_eq!(requests_total(&snap), 2);
+        assert_eq!(worker_entry("{\"status\":\"ok\"}"), None, "not a stats page");
     }
 }

@@ -184,8 +184,8 @@ USAGE:
                            rebalanced / audited; see
                            docs/observability.md)
         Also writes DIR/cluster-stats.json: the fleet /v1/stats fold —
-        per-worker request totals plus the workers' counters summed and
-        their latency histograms merged bucket-wise.
+        per-worker request totals plus the workers' metrics snapshots
+        merged (counters summed, histograms merged bucket-wise).
 
 ANALYSES: solvability, bivalence, broadcastability, component-stats, sim-check
 ";

@@ -57,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablation;
 pub mod analysis;
 pub mod baselines;
 pub mod bivalence;
@@ -67,6 +66,8 @@ pub mod compactness;
 pub mod config;
 pub mod error;
 pub mod fair;
+#[cfg(test)]
+mod paper_literal;
 pub mod solvability;
 pub mod space;
 pub mod universal;

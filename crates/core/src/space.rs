@@ -16,7 +16,7 @@ use adversary::{enumerate, MessageAdversary};
 use consensus_obs::metrics::{registry, Histogram};
 use consensus_obs::trace::tracer;
 use dyngraph::{GraphSeq, Pid};
-use ptgraph::{PrefixRun, Value, ViewId};
+use ptgraph::{PrefixRun, Value};
 use simulator::checker::CheckReport;
 use topology::separation::{self, SeparationReport};
 use topology::{components_by_dense_buckets, Components};
@@ -386,8 +386,10 @@ impl PrefixSpace {
     /// The decision map underlying the universal algorithm: for every
     /// `(process, view at depth)` bucket, the value of the (unique)
     /// component its runs belong to. `None` if the valence labeling is not
-    /// separated.
-    pub fn decision_views(&self) -> Option<HashMap<(Pid, ViewId), Value>> {
+    /// separated. Only the paper-literal test oracles read it; the
+    /// universal algorithm builds its own tables.
+    #[cfg(test)]
+    pub(crate) fn decision_views(&self) -> Option<HashMap<(Pid, ptgraph::ViewId), Value>> {
         let assignment = self.component_assignment()?;
         let depth = self.depth();
         let mut map = HashMap::new();

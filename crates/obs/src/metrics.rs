@@ -11,8 +11,10 @@
 //! and every bucket *upper bound* is exactly representable: a histogram
 //! fed only bucket-boundary values reports exact quantiles (see the
 //! bucket-boundary test). Every process uses the same fixed bounds, so
-//! two snapshots merge exactly by adding counts per bound — the cluster
-//! coordinator folds its workers' histograms that way.
+//! two snapshots merge exactly by adding counts per bound
+//! ([`RegistrySnapshot::merge`]) — the service merges its own registry
+//! with the process one that way, and the cluster coordinator folds its
+//! workers' snapshots the same way.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,6 +91,16 @@ impl Gauge {
     /// Replace the value.
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Add one (a connection opened, an item queued).
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Subtract one; pairs with an earlier [`inc`](Gauge::inc).
+    pub fn dec(&self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -308,6 +320,49 @@ pub struct RegistrySnapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
+impl RegistrySnapshot {
+    /// The union of two snapshots, name-sorted: counters add, histograms
+    /// merge bucket-wise (exact — the snapshot of one histogram fed both
+    /// sample sets: counts, sums and per-bound counts add, the max is the
+    /// larger), and a gauge present in both keeps the larger value, since
+    /// levels such as a hit rate do not add. Commutative and associative,
+    /// so a fleet folds in any order. Sums wrap as the live atomics do,
+    /// so a decoded snapshot from another process cannot make it panic.
+    pub fn merge(&self, other: &RegistrySnapshot) -> RegistrySnapshot {
+        fn union<T: Clone>(
+            a: &[(String, T)],
+            b: &[(String, T)],
+            join: impl Fn(&T, &T) -> T,
+        ) -> Vec<(String, T)> {
+            let mut merged: BTreeMap<String, T> = a.iter().cloned().collect();
+            for (name, value) in b {
+                merged
+                    .entry(name.clone())
+                    .and_modify(|mine| *mine = join(mine, value))
+                    .or_insert_with(|| value.clone());
+            }
+            merged.into_iter().collect()
+        }
+        RegistrySnapshot {
+            counters: union(&self.counters, &other.counters, |a, b| a.wrapping_add(*b)),
+            gauges: union(&self.gauges, &other.gauges, |a, b| *a.max(b)),
+            histograms: union(&self.histograms, &other.histograms, |a, b| {
+                let mut buckets: BTreeMap<u64, u64> = a.buckets.iter().copied().collect();
+                for &(bound, n) in &b.buckets {
+                    let slot = buckets.entry(bound).or_default();
+                    *slot = slot.wrapping_add(n);
+                }
+                HistogramSnapshot {
+                    count: a.count.wrapping_add(b.count),
+                    sum: a.sum.wrapping_add(b.sum),
+                    max: a.max.max(b.max),
+                    buckets: buckets.into_iter().collect(),
+                }
+            }),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,6 +464,79 @@ mod tests {
         assert_eq!(snap.gauges, vec![("z.gauge".to_string(), 7)]);
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[0].1.count, 1);
+    }
+
+    fn fill(registry: &Registry, name: &str, samples: &[u64]) {
+        let h = registry.histogram(name);
+        for &s in samples {
+            h.record(s);
+        }
+    }
+
+    #[test]
+    fn merge_is_commutative_and_associative() {
+        let a = Registry::new();
+        fill(&a, "lat", &[1, 5, 9, 1000, 12345]);
+        fill(&a, "only.a", &[7]);
+        a.counter("hits").add(3);
+        a.gauge("level").set(4);
+        let b = Registry::new();
+        fill(&b, "lat", &[2, 5, 777, 1 << 30]);
+        b.counter("hits").add(5);
+        b.counter("only.b").inc();
+        b.gauge("level").set(9);
+        let c = Registry::new();
+        fill(&c, "lat", &[0, 3, 4, 999_999_999, u64::MAX]);
+        c.gauge("other").set(1);
+        let (a, b, c) = (a.snapshot(), b.snapshot(), c.snapshot());
+        assert_eq!(a.merge(&b), b.merge(&a));
+        assert_eq!(a.merge(&b).merge(&c), a.merge(&b.merge(&c)));
+        assert_eq!(a.merge(&c).merge(&b), c.merge(&b).merge(&a));
+        // The union keeps every name, sorted.
+        let all = a.merge(&b).merge(&c);
+        let names: Vec<&str> = all.histograms.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["lat", "only.a"]);
+        assert_eq!(all.gauges, vec![("level".to_string(), 9), ("other".to_string(), 1)]);
+        // Merging with an empty snapshot changes nothing.
+        assert_eq!(a.merge(&Registry::new().snapshot()), a);
+    }
+
+    #[test]
+    fn merge_is_exact() {
+        // Split one sample set across three registries: the merged
+        // snapshot equals the snapshot of one histogram fed every sample.
+        let samples: Vec<u64> = (0..2_000u64).map(|i| i * i * 7919 % 10_000_019).collect();
+        let whole = Registry::new();
+        fill(&whole, "lat", &samples);
+        let parts: Vec<RegistrySnapshot> = samples
+            .chunks(700)
+            .map(|chunk| {
+                let part = Registry::new();
+                fill(&part, "lat", chunk);
+                part.snapshot()
+            })
+            .collect();
+        let merged = parts[0].merge(&parts[1]).merge(&parts[2]);
+        let (whole, merged) = (&whole.snapshot().histograms[0].1, &merged.histograms[0].1);
+        assert_eq!(merged, whole, "count, sum, max and buckets");
+        assert_eq!(merged.count, samples.len() as u64);
+        assert_eq!(merged.max, *samples.iter().max().unwrap());
+        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(merged.quantile(q), whole.quantile(q), "q = {q}");
+        }
+    }
+
+    #[test]
+    fn merge_adds_counters_and_does_not_sum_gauges() {
+        let a = Registry::new();
+        a.counter("requests").add(2);
+        a.gauge("active").set(3);
+        let b = Registry::new();
+        b.counter("requests").add(5);
+        b.gauge("active").set(2);
+        let merged = a.snapshot().merge(&b.snapshot());
+        assert_eq!(merged.counters, vec![("requests".to_string(), 7)]);
+        assert_eq!(merged.gauges, vec![("active".to_string(), 3)], "the larger level, not 5");
     }
 
     #[test]

@@ -15,10 +15,16 @@
 //! | GET    | `/v1/journal/segment` | —                              | the verdict journal as an absorbable warm-start segment |
 //! | GET    | `/v1/trace?since=ID` | —                               | this worker's span-ring fragment past the cursor (non-destructive) |
 //! | GET    | `/v1/catalog` | —                                      | the built-in adversary registry |
-//! | GET    | `/v1/stats`   | —                                      | structured [`consensus_obs`] registry snapshot |
+//! | GET    | `/v1/stats`   | —                                      | the metrics snapshot plus tracer state |
 //! | GET    | `/healthz`    | —                                      | liveness |
-//! | GET    | `/metrics`    | —                                      | request/latency/cache counters (JSON) |
-//! | GET    | `/metrics?format=prometheus` | —                       | the same counters as Prometheus text |
+//! | GET    | `/metrics`    | —                                      | the metrics snapshot plus the session's cache counters (JSON) |
+//! | GET    | `/metrics?format=prometheus` | —                       | the metrics snapshot as Prometheus text |
+//!
+//! The metrics snapshot is the process-global [`consensus_obs`] registry
+//! merged with the app's own request metrics
+//! ([`Metrics::snapshot`](crate::metrics::Metrics::snapshot)); both JSON
+//! pages carry it as `registry`, encoded by
+//! [`snapshot_to_json`].
 //!
 //! Every request gets a process-unique id, carried as the `id` attribute
 //! of its `http.request` trace span and (when request logging is enabled,
@@ -38,13 +44,12 @@ use consensus_core::error::Error;
 use consensus_lab::report::SweepMeta;
 use consensus_lab::scenario::{AdversarySpec, AnalysisKind, Shard};
 use consensus_lab::session::{Query, Session};
-use consensus_obs::metrics::registry;
 use consensus_obs::prom;
 use consensus_obs::trace::{trace_id, tracer, TraceContext, TRACE_HEADER};
 use json::Value;
 
 use crate::http::Request;
-use crate::metrics::{Endpoint, Metrics};
+use crate::metrics::{requests_total, round3, snapshot_to_json, Endpoint, Metrics};
 
 /// Refuse `/v1/sweep` grids larger than this many scenarios — a bound on
 /// per-request work, not a scalability limit (shard bigger grids across
@@ -299,7 +304,7 @@ impl App {
             Err(response) => return response,
         };
         if shard.is_some() {
-            registry().counter("sweep.shard_requests").inc();
+            self.metrics.shard_request();
         }
         let report = self.session.check_many_indexed(&entries);
         // The same counters a CLI sweep writes to sweep-meta.json — note
@@ -339,7 +344,7 @@ impl App {
     /// without a cache directory answers `{"enabled": false}` and no
     /// entries.
     fn journal_segment(&self) -> Response {
-        registry().counter("journal.segments_served").inc();
+        self.metrics.segment_served();
         let (enabled, entries) = match self.session.disk_cache() {
             None => (false, Vec::new()),
             Some(disk) => (true, disk.export_entries()),
@@ -406,10 +411,7 @@ impl App {
         Response::ok(
             Value::Obj(vec![
                 ("status".into(), Value::Str("ok".into())),
-                (
-                    "uptime_ms".into(),
-                    Value::Float(crate::metrics::round3(self.metrics.uptime_ms())),
-                ),
+                ("uptime_ms".into(), Value::Float(round3(self.metrics.uptime_ms()))),
             ])
             .to_string(),
         )
@@ -426,8 +428,21 @@ impl App {
         stats
     }
 
+    /// The fields that open both JSON metrics pages: uptime, the request
+    /// total and the snapshot itself.
+    fn snapshot_fields(&self) -> Vec<(String, Value)> {
+        let snap = self.metrics.snapshot();
+        vec![
+            ("uptime_ms".into(), Value::Float(round3(self.metrics.uptime_ms()))),
+            ("requests_total".into(), Value::Int(requests_total(&snap) as i64)),
+            ("registry".into(), snapshot_to_json(&snap)),
+        ]
+    }
+
+    /// `GET /metrics`: the metrics snapshot plus the session's cache and
+    /// journal counters.
     fn metrics_body(&self) -> Response {
-        let mut fields = self.metrics.to_json();
+        let mut fields = self.snapshot_fields();
         let stats = self.cache_stats();
         fields.push((
             "cache".into(),
@@ -452,83 +467,30 @@ impl App {
         Response::ok(Value::Obj(fields).to_string())
     }
 
-    /// `GET /v1/stats`: the structured [`consensus_obs`] registry
-    /// snapshot (stage histograms in nanoseconds, cache/journal counters)
-    /// plus the per-endpoint latency blocks and tracer counters — the
-    /// machine-readable twin of the Prometheus page.
+    /// `GET /v1/stats`: the metrics snapshot plus tracer counters — what
+    /// the cluster coordinator folds into its fleet snapshot.
     fn stats_body(&self) -> Response {
-        let snap = registry().snapshot();
-        let counters: Vec<(String, Value)> =
-            snap.counters.iter().map(|(n, v)| (n.clone(), Value::Int(*v as i64))).collect();
-        let gauges: Vec<(String, Value)> =
-            snap.gauges.iter().map(|(n, v)| (n.clone(), Value::Int(*v as i64))).collect();
-        let histograms: Vec<(String, Value)> = snap
-            .histograms
-            .iter()
-            .map(|(n, h)| {
-                // Raw (bound, count) bucket pairs ride along so a fleet
-                // coordinator can merge histograms exactly (bucket-wise
-                // addition is commutative/associative) instead of
-                // averaging quantiles.
-                let buckets: Vec<Value> = h
-                    .buckets
-                    .iter()
-                    .map(|(bound, count)| {
-                        Value::Arr(vec![Value::Int(*bound as i64), Value::Int(*count as i64)])
-                    })
-                    .collect();
-                (
-                    n.clone(),
-                    Value::Obj(vec![
-                        ("count".into(), Value::Int(h.count as i64)),
-                        ("sum".into(), Value::Int(h.sum as i64)),
-                        ("max".into(), Value::Int(h.max as i64)),
-                        ("p50".into(), Value::Int(h.quantile(0.5) as i64)),
-                        ("p90".into(), Value::Int(h.quantile(0.9) as i64)),
-                        ("p99".into(), Value::Int(h.quantile(0.99) as i64)),
-                        ("buckets".into(), Value::Arr(buckets)),
-                    ]),
-                )
-            })
-            .collect();
+        let mut fields = self.snapshot_fields();
         let t = tracer();
-        Response::ok(
+        fields.push((
+            "trace".into(),
             Value::Obj(vec![
-                (
-                    "uptime_ms".into(),
-                    Value::Float(crate::metrics::round3(self.metrics.uptime_ms())),
-                ),
-                (
-                    "registry".into(),
-                    Value::Obj(vec![
-                        ("counters".into(), Value::Obj(counters)),
-                        ("gauges".into(), Value::Obj(gauges)),
-                        ("histograms_ns".into(), Value::Obj(histograms)),
-                    ]),
-                ),
-                ("endpoints".into(), Value::Obj(self.metrics.endpoints_json())),
-                (
-                    "trace".into(),
-                    Value::Obj(vec![
-                        ("enabled".into(), Value::Bool(t.is_enabled())),
-                        ("spans_started".into(), Value::Int(t.spans_started() as i64)),
-                        ("dropped".into(), Value::Int(t.dropped() as i64)),
-                    ]),
-                ),
-            ])
-            .to_string(),
-        )
+                ("enabled".into(), Value::Bool(t.is_enabled())),
+                ("spans_started".into(), Value::Int(t.spans_started() as i64)),
+                ("dropped".into(), Value::Int(t.dropped() as i64)),
+            ]),
+        ));
+        Response::ok(Value::Obj(fields).to_string())
     }
 
-    /// `GET /metrics?format=prometheus`: the same counters as the JSON
-    /// page, rendered as Prometheus text exposition (version 0.0.4) —
-    /// request counters and per-endpoint latency summaries from
-    /// [`Metrics`], cache counters from the shared session, and the full
-    /// [`consensus_obs`] registry (name-sorted, so the page layout is
-    /// deterministic).
+    /// `GET /metrics?format=prometheus`: uptime, the metrics snapshot
+    /// through [`prom::write_snapshot`], and the session's cache counters,
+    /// as Prometheus text exposition (version 0.0.4).
     fn metrics_prometheus(&self) -> Response {
         let mut out = String::new();
-        self.metrics.render_prometheus(&mut out);
+        prom::write_type(&mut out, "consensus_uptime_ms", "gauge");
+        prom::write_sample(&mut out, "consensus_uptime_ms", &[], round3(self.metrics.uptime_ms()));
+        prom::write_snapshot(&mut out, &self.metrics.snapshot());
         let stats = self.cache_stats();
         prom::write_type(&mut out, "consensus_cache_events_total", "counter");
         for (kind, value) in [
@@ -544,31 +506,6 @@ impl App {
                 &[("kind", kind)],
                 value as f64,
             );
-        }
-        let snap = registry().snapshot();
-        for (name, value) in &snap.counters {
-            let name = format!("consensus_{}_total", prom::metric_name(name));
-            prom::write_type(&mut out, &name, "counter");
-            prom::write_sample(&mut out, &name, &[], *value as f64);
-        }
-        for (name, value) in &snap.gauges {
-            let name = format!("consensus_{}", prom::metric_name(name));
-            prom::write_type(&mut out, &name, "gauge");
-            prom::write_sample(&mut out, &name, &[], *value as f64);
-        }
-        for (name, hist) in &snap.histograms {
-            let name = format!("consensus_{}_ns", prom::metric_name(name));
-            prom::write_type(&mut out, &name, "summary");
-            for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
-                prom::write_sample(
-                    &mut out,
-                    &name,
-                    &[("quantile", label)],
-                    hist.quantile(q) as f64,
-                );
-            }
-            prom::write_sample(&mut out, &format!("{name}_sum"), &[], hist.sum as f64);
-            prom::write_sample(&mut out, &format!("{name}_count"), &[], hist.count as f64);
         }
         Response::text(out, prom::CONTENT_TYPE)
     }
@@ -1069,6 +1006,12 @@ pub(crate) mod tests {
         }
     }
 
+    /// The value of counter `name` on the app's `/v1/stats` page.
+    fn stats_counter(app: &App, name: &str) -> usize {
+        let stats = json::parse(&app.handle(&request("GET", "/v1/stats", "")).body).unwrap();
+        stats.get("registry").unwrap().get("counters").unwrap().get_usize(name).unwrap()
+    }
+
     #[test]
     fn sharded_sweeps_union_to_the_full_grid() {
         use consensus_lab::store::TIMING_FIELDS;
@@ -1080,6 +1023,8 @@ pub(crate) mod tests {
             r#"{"catalog":true,"max_depth":1,"analyses":["solvability"]}"#,
         ));
         assert_eq!(full.status, 200, "{}", full.body);
+        // Only a sweep that carries a `shard` counts as a shard request.
+        assert_eq!(stats_counter(&app, "sweep.shard_requests"), 0);
         let full = json::parse(&full.body).unwrap();
         let Some(Value::Arr(full_records)) = full.get("records") else {
             panic!("records must be an array");
@@ -1087,12 +1032,13 @@ pub(crate) mod tests {
         // The two shard slices carry global indices and union to the full
         // grid, record for record.
         let mut sharded: Vec<(usize, Value)> = Vec::new();
-        for shard in ["0/2", "1/2"] {
+        for (served, shard) in ["0/2", "1/2"].into_iter().enumerate() {
             let body = format!(
                 r#"{{"catalog":true,"max_depth":1,"analyses":["solvability"],"shard":"{shard}"}}"#
             );
             let slice = app.handle(&request("POST", "/v1/sweep", &body));
             assert_eq!(slice.status, 200, "{}", slice.body);
+            assert_eq!(stats_counter(&app, "sweep.shard_requests"), served + 1);
             let slice = json::parse(&slice.body).unwrap();
             let Some(Value::Arr(records)) = slice.get("records") else {
                 panic!("records must be an array");
@@ -1126,14 +1072,18 @@ pub(crate) mod tests {
             assert_eq!(response.status, 400, "{body} → {}", response.body);
             assert!(response.body.contains(fragment), "{body} → {}", response.body);
         }
+        // A refused shard is not a served one.
+        assert_eq!(stats_counter(&app, "sweep.shard_requests"), 0);
     }
 
     #[test]
     fn journal_segment_without_a_cache_is_disabled() {
         let _serial = serial();
         let app = app();
+        assert_eq!(stats_counter(&app, "journal.segments_served"), 0);
         let response = app.handle(&request("GET", "/v1/journal/segment", ""));
         assert_eq!(response.status, 200, "{}", response.body);
+        assert_eq!(stats_counter(&app, "journal.segments_served"), 1);
         let segment = json::parse(&response.body).unwrap();
         assert_eq!(segment.get("enabled").and_then(Value::as_bool), Some(false));
         assert_eq!(segment.get_usize("count"), Some(0));
@@ -1161,31 +1111,67 @@ pub(crate) mod tests {
             assert!(adversary::SpecTerm::parse(spec).is_ok(), "{spec}");
         }
 
+        // A fixed mix of 200, 400, 404 and 405 answers.
         assert_eq!(app.handle(&request("GET", "/healthz", "")).status, 200);
         assert_eq!(app.handle(&request("GET", "/nope", "")).status, 404);
         assert_eq!(app.handle(&request("GET", "/v1/check", "")).status, 405);
         assert_eq!(app.handle(&request("POST", "/metrics", "")).status, 405);
+        assert_eq!(app.handle(&request("POST", "/v1/check", "{")).status, 400);
 
-        let response = app.handle(&request("GET", "/metrics", ""));
-        assert_eq!(response.status, 200);
-        let metrics = json::parse(&response.body).unwrap();
-        let requests = metrics.get("requests").unwrap();
-        // catalog + healthz + not-found + 405 check + 405 metrics.
-        assert_eq!(requests.get_usize("catalog"), Some(1));
-        assert_eq!(requests.get_usize("healthz"), Some(1));
-        assert_eq!(requests.get_usize("not_found"), Some(1));
-        // All three failures (404 + 405 + 405) are client errors.
-        assert_eq!(requests.get_usize("errors"), Some(3));
-        assert_eq!(requests.get_usize("errors_4xx"), Some(3));
-        assert_eq!(requests.get_usize("errors_5xx"), Some(0));
-        let endpoints = metrics.get("endpoints").unwrap();
-        assert_eq!(endpoints.get("catalog").unwrap().get_usize("count"), Some(1));
-        assert!(endpoints
-            .get("healthz")
-            .unwrap()
-            .get("p99_ms")
-            .and_then(Value::as_f64)
-            .is_some());
+        // The three pages render one snapshot: the same per-endpoint,
+        // unrouted, 4xx and 5xx counts, except that each page GET counts
+        // once under `metrics` or `stats` after it has been rendered.
+        let metrics = json::parse(&app.handle(&request("GET", "/metrics", "")).body).unwrap();
+        let prom = app.handle(&request("GET", "/metrics?format=prometheus", "")).body;
+        let stats = json::parse(&app.handle(&request("GET", "/v1/stats", "")).body).unwrap();
+        let names: Vec<String> = Endpoint::ALL
+            .iter()
+            .map(|e| e.name())
+            .chain(["unrouted"])
+            .map(|name| format!("http.request.{name}"))
+            .collect();
+        let json_counts = |page: &Value| -> Vec<u64> {
+            let registry = page.get("registry").unwrap();
+            let mut counts: Vec<u64> = names
+                .iter()
+                .map(|name| {
+                    let hist = registry.get("histograms_ns").unwrap().get(name).unwrap();
+                    for key in ["p50", "p90", "p99", "max"] {
+                        assert!(hist.get(key).is_some(), "{name} has no {key}");
+                    }
+                    hist.get_usize("count").unwrap() as u64
+                })
+                .collect();
+            for name in ["http.errors_4xx", "http.errors_5xx"] {
+                counts.push(registry.get("counters").unwrap().get_usize(name).unwrap() as u64);
+            }
+            counts
+        };
+        let prom_value = |series: &str| -> u64 {
+            let line = prom.lines().find(|line| line.starts_with(&format!("{series} ")));
+            line.unwrap_or_else(|| panic!("no {series} in:\n{prom}"))[series.len() + 1..]
+                .parse()
+                .unwrap()
+        };
+        let mut prom_counts: Vec<u64> = names
+            .iter()
+            .map(|name| prom_value(&format!("consensus_{}_ns_count", prom::metric_name(name))))
+            .collect();
+        for name in ["http_errors_4xx", "http_errors_5xx"] {
+            prom_counts.push(prom_value(&format!("consensus_{name}_total")));
+        }
+        // check, sweep, segment, trace, catalog, stats, healthz, metrics,
+        // unrouted; then 4xx (404 + 405 + 405 + 400) and 5xx.
+        let mut expected = vec![2, 0, 0, 0, 1, 0, 1, 1, 1, 4, 0];
+        assert_eq!(json_counts(&metrics), expected, "/metrics");
+        expected[7] += 1;
+        assert_eq!(prom_counts, expected, "/metrics?format=prometheus");
+        expected[7] += 1;
+        assert_eq!(json_counts(&stats), expected, "/v1/stats");
+        // The request total is the histograms' summed count.
+        assert_eq!(metrics.get_usize("requests_total"), Some(6));
+        assert_eq!(stats.get_usize("requests_total"), Some(8));
+
         assert_eq!(metrics.get("cache").unwrap().get_usize("builds"), Some(0));
         let disk = metrics.get("disk").unwrap();
         assert_eq!(disk.get("enabled").and_then(Value::as_bool), Some(false));
@@ -1213,11 +1199,13 @@ pub(crate) mod tests {
         // The check above went through the cache, so its counters exist
         // (the registry is process-global — only presence is asserted).
         assert!(registry.get("counters").unwrap().get("cache.builds").is_some());
-        let expand = registry.get("histograms_ns").unwrap().get("stage.expand").unwrap();
+        let histograms = registry.get("histograms_ns").unwrap();
+        let expand = histograms.get("stage.expand").unwrap();
         assert!(expand.get_usize("count").unwrap() >= 1);
         assert!(expand.get_usize("p99").unwrap() >= expand.get_usize("p50").unwrap());
-        let endpoints = stats.get("endpoints").unwrap();
-        assert_eq!(endpoints.get("check").unwrap().get_usize("count"), Some(1));
+        // The app's own request metrics ride in the same snapshot.
+        assert_eq!(histograms.get("http.request.check").unwrap().get_usize("count"), Some(1));
+        assert_eq!(stats.get_usize("requests_total"), Some(1));
         let trace = stats.get("trace").unwrap();
         assert!(trace.get("enabled").and_then(Value::as_bool).is_some());
     }
@@ -1339,15 +1327,20 @@ pub(crate) mod tests {
         assert_eq!(response.status, 200);
         assert_eq!(response.content_type, consensus_obs::prom::CONTENT_TYPE);
         let page = &response.body;
-        assert!(page.contains("# TYPE consensus_http_requests_total counter\n"), "{page}");
-        assert!(page.contains("consensus_http_requests_total{endpoint=\"healthz\"} 1\n"), "{page}");
-        assert!(
-            page.contains(
-                "consensus_http_request_duration_ms{endpoint=\"healthz\",quantile=\"0.99\"}"
-            ),
-            "{page}"
-        );
+        assert!(page.contains("# TYPE consensus_http_request_healthz_ns summary\n"), "{page}");
+        assert!(page.contains("consensus_http_request_healthz_ns_count 1\n"), "{page}");
+        assert!(page.contains("consensus_http_request_healthz_ns{quantile=\"0.99\"}"), "{page}");
+        assert!(page.contains("consensus_http_request_healthz_ns_max "), "{page}");
+        assert!(page.contains("consensus_http_connections_active 0\n"), "{page}");
+        assert!(page.contains("consensus_uptime_ms "), "{page}");
         assert!(page.contains("consensus_cache_events_total{kind=\"builds\"}"), "{page}");
+        // One `# TYPE` line per family, the process and app registries
+        // merged into one snapshot.
+        let mut families: Vec<&str> = page.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        let listed = families.len();
+        families.sort_unstable();
+        families.dedup();
+        assert_eq!(families.len(), listed, "{page}");
         // An unknown format falls back to the JSON page.
         let response = app.handle(&request("GET", "/metrics?format=json", ""));
         assert_eq!(response.content_type, "application/json");

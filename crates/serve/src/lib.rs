@@ -19,8 +19,14 @@
 //!   with an optional `?format=prometheus`), per-request ids + tracing
 //!   spans, and the typed [`Error`](consensus_core::error::Error) →
 //!   structured `4xx`/`5xx` mapping;
-//! * [`metrics`] — lock-free request counters split 4xx/5xx, per-endpoint
-//!   latency histograms (p50/p90/p99), and Prometheus text rendering;
+//! * [`metrics`] — the app's own [`consensus_obs`] registry, recorded
+//!   once per request: a latency histogram per endpoint
+//!   (`http.request.<endpoint>`, plus `http.request.unrouted`), whose
+//!   counts are the request counts; the counters `http.errors_4xx`,
+//!   `http.errors_5xx` and `http.connections.accepted`; and the gauge
+//!   `http.connections.active`. Also the one JSON encoding of a registry
+//!   snapshot and its decoder, shared by `/metrics`, `/v1/stats` and the
+//!   cluster's fleet fold;
 //! * [`client`] — a minimal keep-alive client.
 //!
 //! The `consensus-lab` binary (grown in `crates/lab`, moved here when it

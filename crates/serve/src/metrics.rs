@@ -1,18 +1,23 @@
-//! Per-process service telemetry: request counters, latency histograms
-//! (a legacy fixed-bucket one plus per-endpoint log-bucketed
-//! [`consensus_obs`] histograms), and connection counters — everything
-//! `GET /metrics` exposes beyond the cache counters it reads from the
-//! shared [`Session`](consensus_lab::session::Session).
+//! Per-process service telemetry: the [`App`](crate::api::App)'s own
+//! [`consensus_obs`] [`Registry`], recorded once per request, and the one
+//! JSON encoding of a [`RegistrySnapshot`] that `/metrics`, `/v1/stats`
+//! and the cluster's fleet fold all read.
 //!
-//! Lock-free: every datum is an atomic, so the hot path records a request
-//! with a handful of relaxed increments and readers never contend with
-//! workers.
+//! The registry holds one latency histogram per endpoint
+//! (`http.request.<endpoint>`) plus `http.request.unrouted` for requests
+//! no route matched, so the histograms' counts are the request counts
+//! ([`requests_total`]); counters `http.errors_4xx`, `http.errors_5xx`,
+//! `http.connections.accepted`, `sweep.shard_requests` and
+//! `journal.segments_served`; and the gauge `http.connections.active`.
+//! Every handle is looked up once, when the [`Metrics`] is built, so the
+//! hot path records a request with a few relaxed atomic operations.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use consensus_obs::metrics::Histogram;
-use consensus_obs::prom;
+use consensus_obs::metrics::{
+    registry, Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
+};
 use json::Value;
 
 /// The service's routed endpoints, in stable reporting order.
@@ -49,7 +54,8 @@ impl Endpoint {
         Endpoint::Metrics,
     ];
 
-    /// The stable key used in the metrics JSON.
+    /// The stable name: the suffix of its `http.request.<name>` histogram
+    /// and the `endpoint` attribute of its request span.
     pub fn name(self) -> &'static str {
         match self {
             Endpoint::Check => "check",
@@ -62,38 +68,26 @@ impl Endpoint {
             Endpoint::Metrics => "metrics",
         }
     }
-
-    fn index(self) -> usize {
-        Endpoint::ALL.iter().position(|x| *x == self).expect("listed endpoint")
-    }
 }
 
-/// Upper bucket bounds of the legacy fixed-bucket latency histogram, in
-/// milliseconds; an implicit overflow bucket catches everything beyond
-/// the last bound.
-pub const LATENCY_BOUNDS_MS: [f64; 10] =
-    [0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 1000.0];
+/// The name prefix of the request histograms; see the module docs.
+const REQUEST_HISTOGRAM_PREFIX: &str = "http.request.";
 
-/// The percentiles reported per endpoint, as `(json key, quantile)`.
-const ENDPOINT_QUANTILES: [(&str, f64); 3] = [("p50_ms", 0.5), ("p90_ms", 0.9), ("p99_ms", 0.99)];
-
-/// Lock-free request/latency/connection counters; see the module docs.
+/// The service's registry and its pre-looked-up handles; see the module
+/// docs.
 #[derive(Debug)]
 pub struct Metrics {
+    registry: Registry,
     started: Instant,
-    accepted: AtomicUsize,
-    active: AtomicUsize,
-    by_endpoint: [AtomicUsize; Endpoint::ALL.len()],
-    /// Per-endpoint handling latency in nanoseconds (log-bucketed,
-    /// quantile-queryable — the p50/p90/p99 source).
-    latency_by_endpoint: [Histogram; Endpoint::ALL.len()],
-    not_found: AtomicUsize,
-    errors_4xx: AtomicUsize,
-    errors_5xx: AtomicUsize,
-    buckets: [AtomicUsize; LATENCY_BOUNDS_MS.len() + 1],
-    latency_count: AtomicUsize,
-    latency_total_ns: AtomicU64,
-    latency_max_ns: AtomicU64,
+    /// Handling latency in nanoseconds, per [`Endpoint::ALL`] entry.
+    latency: [Arc<Histogram>; Endpoint::ALL.len()],
+    unrouted: Arc<Histogram>,
+    errors_4xx: Arc<Counter>,
+    errors_5xx: Arc<Counter>,
+    accepted: Arc<Counter>,
+    active: Arc<Gauge>,
+    shard_requests: Arc<Counter>,
+    segments_served: Arc<Counter>,
 }
 
 impl Default for Metrics {
@@ -103,68 +97,60 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    /// Zeroed counters, uptime starting now.
+    /// A fresh registry with every metric at zero, uptime starting now.
     pub fn new() -> Self {
+        let registry = Registry::new();
+        let histogram =
+            |name: &str| registry.histogram(&format!("{REQUEST_HISTOGRAM_PREFIX}{name}"));
         Metrics {
             started: Instant::now(),
-            accepted: AtomicUsize::new(0),
-            active: AtomicUsize::new(0),
-            by_endpoint: Default::default(),
-            latency_by_endpoint: [const { Histogram::new() }; Endpoint::ALL.len()],
-            not_found: AtomicUsize::new(0),
-            errors_4xx: AtomicUsize::new(0),
-            errors_5xx: AtomicUsize::new(0),
-            buckets: Default::default(),
-            latency_count: AtomicUsize::new(0),
-            latency_total_ns: AtomicU64::new(0),
-            latency_max_ns: AtomicU64::new(0),
+            latency: Endpoint::ALL.map(|endpoint| histogram(endpoint.name())),
+            unrouted: histogram("unrouted"),
+            errors_4xx: registry.counter("http.errors_4xx"),
+            errors_5xx: registry.counter("http.errors_5xx"),
+            accepted: registry.counter("http.connections.accepted"),
+            active: registry.gauge("http.connections.active"),
+            shard_requests: registry.counter("sweep.shard_requests"),
+            segments_served: registry.counter("journal.segments_served"),
+            registry,
         }
     }
 
     /// Record an accepted connection.
     pub fn connection_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
+        self.accepted.inc();
     }
 
     /// Mark a connection as being handled; the returned guard decrements
     /// the active gauge when dropped.
     pub fn connection_active(&self) -> ActiveConnection<'_> {
-        self.active.fetch_add(1, Ordering::Relaxed);
+        self.active.inc();
         ActiveConnection { metrics: self }
     }
 
     /// Record one routed (or unrouted) request and its handling latency.
     /// Client errors (4xx) and server errors (5xx) count separately.
     pub fn record(&self, endpoint: Option<Endpoint>, status: u16, elapsed: Duration) {
-        match endpoint {
-            Some(e) => {
-                self.by_endpoint[e.index()].fetch_add(1, Ordering::Relaxed);
-                self.latency_by_endpoint[e.index()].record_duration(elapsed);
-            }
-            None => {
-                self.not_found.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let latency = match endpoint {
+            Some(endpoint) => &self.latency[endpoint as usize],
+            None => &self.unrouted,
+        };
+        latency.record_duration(elapsed);
         if (400..500).contains(&status) {
-            self.errors_4xx.fetch_add(1, Ordering::Relaxed);
+            self.errors_4xx.inc();
         } else if status >= 500 {
-            self.errors_5xx.fetch_add(1, Ordering::Relaxed);
+            self.errors_5xx.inc();
         }
-        let ms = elapsed.as_secs_f64() * 1e3;
-        let bucket = LATENCY_BOUNDS_MS
-            .iter()
-            .position(|bound| ms <= *bound)
-            .unwrap_or(LATENCY_BOUNDS_MS.len());
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.latency_count.fetch_add(1, Ordering::Relaxed);
-        let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.latency_total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.latency_max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Total requests recorded (routed plus unrouted).
-    pub fn requests_total(&self) -> usize {
-        self.latency_count.load(Ordering::Relaxed)
+    /// Count one `/v1/sweep` request that carried a `shard`.
+    pub(crate) fn shard_request(&self) {
+        self.shard_requests.inc();
+    }
+
+    /// Count one `/v1/journal/segment` answer.
+    pub(crate) fn segment_served(&self) {
+        self.segments_served.inc();
     }
 
     /// Milliseconds since the metrics (≈ the server) started.
@@ -172,181 +158,115 @@ impl Metrics {
         self.started.elapsed().as_secs_f64() * 1e3
     }
 
-    /// The per-endpoint latency quantile blocks:
-    /// `name → {count, p50_ms, p90_ms, p99_ms, max_ms}` in reporting
-    /// order.
-    pub fn endpoints_json(&self) -> Vec<(String, Value)> {
-        Endpoint::ALL
-            .iter()
-            .map(|endpoint| {
-                let hist = &self.latency_by_endpoint[endpoint.index()];
-                let mut fields: Vec<(String, Value)> =
-                    vec![("count".into(), Value::Int(hist.count() as i64))];
-                for (key, q) in ENDPOINT_QUANTILES {
-                    fields.push((key.into(), Value::Float(round_ms(hist.quantile(q)))));
-                }
-                fields.push(("max_ms".into(), Value::Float(round_ms(hist.max()))));
-                (endpoint.name().to_string(), Value::Obj(fields))
-            })
-            .collect()
-    }
-
-    /// The `connections`/`requests`/`endpoints`/`latency_ms` blocks of
-    /// the metrics payload (the cache blocks are appended by the API
-    /// layer, which owns the `Session`). Key order is fixed — two
-    /// serializations of the same counters are byte-identical.
-    pub fn to_json(&self) -> Vec<(String, Value)> {
-        let mut requests: Vec<(String, Value)> =
-            vec![("total".into(), Value::Int(self.requests_total() as i64))];
-        for (endpoint, count) in Endpoint::ALL.iter().zip(&self.by_endpoint) {
-            requests
-                .push((endpoint.name().into(), Value::Int(count.load(Ordering::Relaxed) as i64)));
-        }
-        let errors_4xx = self.errors_4xx.load(Ordering::Relaxed);
-        let errors_5xx = self.errors_5xx.load(Ordering::Relaxed);
-        requests
-            .push(("not_found".into(), Value::Int(self.not_found.load(Ordering::Relaxed) as i64)));
-        // `errors` (the historical total) stays for dashboard
-        // compatibility; the split counters are what new tooling reads.
-        requests.push(("errors".into(), Value::Int((errors_4xx + errors_5xx) as i64)));
-        requests.push(("errors_4xx".into(), Value::Int(errors_4xx as i64)));
-        requests.push(("errors_5xx".into(), Value::Int(errors_5xx as i64)));
-
-        let mut buckets = Vec::with_capacity(self.buckets.len());
-        for (i, count) in self.buckets.iter().enumerate() {
-            buckets.push(Value::Obj(vec![
-                (
-                    "le".into(),
-                    // The overflow bucket has no upper bound.
-                    LATENCY_BOUNDS_MS.get(i).map_or(Value::Null, |b| Value::Float(*b)),
-                ),
-                ("count".into(), Value::Int(count.load(Ordering::Relaxed) as i64)),
-            ]));
-        }
-        let total_ns = self.latency_total_ns.load(Ordering::Relaxed);
-        let max_ns = self.latency_max_ns.load(Ordering::Relaxed);
-        let latency = Value::Obj(vec![
-            ("count".into(), Value::Int(self.latency_count.load(Ordering::Relaxed) as i64)),
-            ("total".into(), Value::Float(round_ms(total_ns))),
-            ("max".into(), Value::Float(round_ms(max_ns))),
-            ("buckets".into(), Value::Arr(buckets)),
-        ]);
-        vec![
-            ("uptime_ms".into(), Value::Float(round3(self.uptime_ms()))),
-            (
-                "connections".into(),
-                Value::Obj(vec![
-                    ("accepted".into(), Value::Int(self.accepted.load(Ordering::Relaxed) as i64)),
-                    ("active".into(), Value::Int(self.active.load(Ordering::Relaxed) as i64)),
-                ]),
-            ),
-            ("requests".into(), Value::Obj(requests)),
-            ("endpoints".into(), Value::Obj(self.endpoints_json())),
-            ("latency_ms".into(), latency),
-        ]
-    }
-
-    /// Render this struct's families as Prometheus text exposition: the
-    /// request/connection counters and one latency summary per endpoint
-    /// with p50/p90/p99 series (the API layer appends the cache gauges
-    /// and the shared registry).
-    pub fn render_prometheus(&self, out: &mut String) {
-        prom::write_type(out, "consensus_uptime_ms", "gauge");
-        prom::write_sample(out, "consensus_uptime_ms", &[], round3(self.uptime_ms()));
-        prom::write_type(out, "consensus_connections_accepted_total", "counter");
-        prom::write_sample(
-            out,
-            "consensus_connections_accepted_total",
-            &[],
-            self.accepted.load(Ordering::Relaxed) as f64,
-        );
-        prom::write_type(out, "consensus_connections_active", "gauge");
-        prom::write_sample(
-            out,
-            "consensus_connections_active",
-            &[],
-            self.active.load(Ordering::Relaxed) as f64,
-        );
-        prom::write_type(out, "consensus_http_requests_total", "counter");
-        for (endpoint, count) in Endpoint::ALL.iter().zip(&self.by_endpoint) {
-            prom::write_sample(
-                out,
-                "consensus_http_requests_total",
-                &[("endpoint", endpoint.name())],
-                count.load(Ordering::Relaxed) as f64,
-            );
-        }
-        prom::write_type(out, "consensus_http_requests_not_found_total", "counter");
-        prom::write_sample(
-            out,
-            "consensus_http_requests_not_found_total",
-            &[],
-            self.not_found.load(Ordering::Relaxed) as f64,
-        );
-        prom::write_type(out, "consensus_http_errors_total", "counter");
-        prom::write_sample(
-            out,
-            "consensus_http_errors_total",
-            &[("class", "4xx")],
-            self.errors_4xx.load(Ordering::Relaxed) as f64,
-        );
-        prom::write_sample(
-            out,
-            "consensus_http_errors_total",
-            &[("class", "5xx")],
-            self.errors_5xx.load(Ordering::Relaxed) as f64,
-        );
-        prom::write_type(out, "consensus_http_request_duration_ms", "summary");
-        for endpoint in Endpoint::ALL {
-            let hist = &self.latency_by_endpoint[endpoint.index()];
-            for (_, q) in ENDPOINT_QUANTILES {
-                prom::write_sample(
-                    out,
-                    "consensus_http_request_duration_ms",
-                    &[("endpoint", endpoint.name()), ("quantile", quantile_label(q))],
-                    round_ms(hist.quantile(q)),
-                );
-            }
-            prom::write_sample(
-                out,
-                "consensus_http_request_duration_ms_max",
-                &[("endpoint", endpoint.name())],
-                round_ms(hist.max()),
-            );
-            prom::write_sample(
-                out,
-                "consensus_http_request_duration_ms_sum",
-                &[("endpoint", endpoint.name())],
-                round3(hist.sum() as f64 / 1e6),
-            );
-            prom::write_sample(
-                out,
-                "consensus_http_request_duration_ms_count",
-                &[("endpoint", endpoint.name())],
-                hist.count() as f64,
-            );
-        }
+    /// The snapshot every metrics page renders: the process-global
+    /// registry merged with this service's own.
+    pub fn snapshot(&self) -> RegistrySnapshot {
+        registry().snapshot().merge(&self.registry.snapshot())
     }
 }
 
-fn quantile_label(q: f64) -> &'static str {
-    if q == 0.5 {
-        "0.5"
-    } else if q == 0.9 {
-        "0.9"
-    } else {
-        "0.99"
+/// Requests recorded in `snap`: the summed counts of its request
+/// histograms, unrouted requests included. The one request total of the
+/// metrics pages and the fleet snapshot.
+pub fn requests_total(snap: &RegistrySnapshot) -> u64 {
+    snap.histograms
+        .iter()
+        .filter(|(name, _)| name.starts_with(REQUEST_HISTOGRAM_PREFIX))
+        .map(|(_, hist)| hist.count)
+        .sum()
+}
+
+/// The JSON form of a snapshot:
+/// `{"counters":{name:n},"gauges":{name:n},"histograms_ns":{name:{count,
+/// sum,max,p50,p90,p99,buckets}}}`, names in snapshot order. `buckets`
+/// lists the raw `[upper bound, count]` pairs so a reader merges
+/// histograms exactly instead of averaging quantiles. Values above
+/// `i64::MAX` are written as their two's-complement `i64`, which
+/// [`snapshot_from_json`] reads back, so every snapshot round-trips.
+pub fn snapshot_to_json(snap: &RegistrySnapshot) -> Value {
+    let int = |n: u64| Value::Int(n as i64);
+    let scalars = |entries: &[(String, u64)]| {
+        Value::Obj(entries.iter().map(|(name, n)| (name.clone(), int(*n))).collect())
+    };
+    let histograms = snap
+        .histograms
+        .iter()
+        .map(|(name, h)| {
+            let buckets = h
+                .buckets
+                .iter()
+                .map(|&(bound, n)| Value::Arr(vec![int(bound), int(n)]))
+                .collect();
+            let block = vec![
+                ("count".into(), int(h.count)),
+                ("sum".into(), int(h.sum)),
+                ("max".into(), int(h.max)),
+                ("p50".into(), int(h.quantile(0.5))),
+                ("p90".into(), int(h.quantile(0.9))),
+                ("p99".into(), int(h.quantile(0.99))),
+                ("buckets".into(), Value::Arr(buckets)),
+            ];
+            (name.clone(), Value::Obj(block))
+        })
+        .collect();
+    Value::Obj(vec![
+        ("counters".into(), scalars(&snap.counters)),
+        ("gauges".into(), scalars(&snap.gauges)),
+        ("histograms_ns".into(), Value::Obj(histograms)),
+    ])
+}
+
+/// The inverse of [`snapshot_to_json`]; `None` when `value` is not of
+/// that shape. The quantile fields are derived, so only `count`, `sum`,
+/// `max` and `buckets` are read.
+pub fn snapshot_from_json(value: &Value) -> Option<RegistrySnapshot> {
+    fn int(value: &Value) -> Option<u64> {
+        value.as_i64().map(|n| n as u64)
     }
+    fn entries(value: Option<&Value>) -> Option<&[(String, Value)]> {
+        match value? {
+            Value::Obj(fields) => Some(fields),
+            _ => None,
+        }
+    }
+    let scalars = |key: &str| -> Option<Vec<(String, u64)>> {
+        entries(value.get(key))?
+            .iter()
+            .map(|(name, n)| Some((name.clone(), int(n)?)))
+            .collect()
+    };
+    let histogram = |h: &Value| -> Option<HistogramSnapshot> {
+        let Some(Value::Arr(pairs)) = h.get("buckets") else {
+            return None;
+        };
+        let buckets = pairs
+            .iter()
+            .map(|pair| match pair {
+                Value::Arr(pair) if pair.len() == 2 => Some((int(&pair[0])?, int(&pair[1])?)),
+                _ => None,
+            })
+            .collect::<Option<_>>()?;
+        Some(HistogramSnapshot {
+            count: int(h.get("count")?)?,
+            sum: int(h.get("sum")?)?,
+            max: int(h.get("max")?)?,
+            buckets,
+        })
+    };
+    Some(RegistrySnapshot {
+        counters: scalars("counters")?,
+        gauges: scalars("gauges")?,
+        histograms: entries(value.get("histograms_ns"))?
+            .iter()
+            .map(|(name, h)| Some((name.clone(), histogram(h)?)))
+            .collect::<Option<_>>()?,
+    })
 }
 
 /// Round milliseconds to 3 decimals — the one precision every emitted
 /// `*_ms` field of this crate uses (metrics, healthz, stats).
 pub(crate) fn round3(ms: f64) -> f64 {
     (ms * 1e3).round() / 1e3
-}
-
-fn round_ms(ns: u64) -> f64 {
-    round3(ns as f64 / 1e6)
 }
 
 /// Guard returned by [`Metrics::connection_active`].
@@ -357,7 +277,7 @@ pub struct ActiveConnection<'a> {
 
 impl Drop for ActiveConnection<'_> {
     fn drop(&mut self) {
-        self.metrics.active.fetch_sub(1, Ordering::Relaxed);
+        self.metrics.active.dec();
     }
 }
 
@@ -365,45 +285,51 @@ impl Drop for ActiveConnection<'_> {
 mod tests {
     use super::*;
 
+    fn own(m: &Metrics) -> RegistrySnapshot {
+        m.registry.snapshot()
+    }
+
+    fn count(snap: &RegistrySnapshot, name: &str) -> u64 {
+        let hist = snap.histograms.iter().find(|(n, _)| n == name);
+        hist.map(|(_, h)| h.count).unwrap_or_else(|| panic!("no histogram {name}"))
+    }
+
+    fn counter(snap: &RegistrySnapshot, name: &str) -> u64 {
+        let entry = snap.counters.iter().chain(&snap.gauges).find(|(n, _)| n == name);
+        entry.map(|(_, v)| *v).unwrap_or_else(|| panic!("no counter or gauge {name}"))
+    }
+
     #[test]
     fn counters_accumulate_and_serialize() {
         let m = Metrics::new();
         m.connection_accepted();
         {
             let _active = m.connection_active();
+            assert_eq!(counter(&own(&m), "http.connections.active"), 1);
             m.record(Some(Endpoint::Check), 200, Duration::from_micros(300));
             m.record(Some(Endpoint::Check), 422, Duration::from_millis(3));
             m.record(Some(Endpoint::Sweep), 500, Duration::from_millis(1));
             m.record(None, 404, Duration::from_millis(30));
         }
-        assert_eq!(m.requests_total(), 4);
-        let fields = Value::Obj(m.to_json());
-        let requests = fields.get("requests").unwrap();
-        assert_eq!(requests.get_usize("total"), Some(4));
-        assert_eq!(requests.get_usize("check"), Some(2));
-        assert_eq!(requests.get_usize("sweep"), Some(1));
-        assert_eq!(requests.get_usize("not_found"), Some(1));
-        // 4xx (422 + 404) and 5xx (500) count separately; `errors` stays
-        // as their total for dashboard compatibility.
-        assert_eq!(requests.get_usize("errors_4xx"), Some(2));
-        assert_eq!(requests.get_usize("errors_5xx"), Some(1));
-        assert_eq!(requests.get_usize("errors"), Some(3));
-        let connections = fields.get("connections").unwrap();
-        assert_eq!(connections.get_usize("accepted"), Some(1));
-        assert_eq!(connections.get_usize("active"), Some(0), "guard must decrement");
-        let latency = fields.get("latency_ms").unwrap();
-        assert_eq!(latency.get_usize("count"), Some(4));
-        let Some(Value::Arr(buckets)) = latency.get("buckets") else {
-            panic!("buckets must be an array");
-        };
-        assert_eq!(buckets.len(), LATENCY_BOUNDS_MS.len() + 1);
-        let counted: usize = buckets.iter().map(|b| b.get_usize("count").unwrap()).sum();
-        assert_eq!(counted, 4, "every request lands in exactly one bucket");
-        // 0.3 ms → the 0.5 bucket; 1 ms → 1.0; 3 ms → 5.0; 30 ms → 50.0.
-        assert_eq!(buckets[1].get_usize("count"), Some(1));
-        assert_eq!(buckets[2].get_usize("count"), Some(1));
-        assert_eq!(buckets[4].get_usize("count"), Some(1));
-        assert_eq!(buckets[7].get_usize("count"), Some(1));
+        let snap = own(&m);
+        assert_eq!(requests_total(&snap), 4);
+        assert_eq!(count(&snap, "http.request.check"), 2);
+        assert_eq!(count(&snap, "http.request.sweep"), 1);
+        assert_eq!(count(&snap, "http.request.unrouted"), 1);
+        // 4xx (422 + 404) and 5xx (500) count separately.
+        assert_eq!(counter(&snap, "http.errors_4xx"), 2);
+        assert_eq!(counter(&snap, "http.errors_5xx"), 1);
+        assert_eq!(counter(&snap, "http.connections.accepted"), 1);
+        assert_eq!(counter(&snap, "http.connections.active"), 0, "guard must decrement");
+        // The process registry's histograms are not request histograms.
+        assert_eq!(requests_total(&m.snapshot()), 4);
+        // The JSON form carries the same counts.
+        let page = snapshot_to_json(&snap);
+        let histograms = page.get("histograms_ns").unwrap();
+        assert_eq!(histograms.get("http.request.check").unwrap().get_usize("count"), Some(2));
+        assert_eq!(histograms.get("http.request.unrouted").unwrap().get_usize("count"), Some(1));
+        assert_eq!(page.get("counters").unwrap().get_usize("http.errors_4xx"), Some(2));
+        assert_eq!(page.get("gauges").unwrap().get_usize("http.connections.active"), Some(0));
     }
 
     #[test]
@@ -412,19 +338,20 @@ mod tests {
         for us in [100u64, 200, 400, 800, 10_000] {
             m.record(Some(Endpoint::Check), 200, Duration::from_micros(us));
         }
-        let endpoints = Value::Obj(m.endpoints_json());
-        let check = endpoints.get("check").unwrap();
-        assert_eq!(check.get_usize("count"), Some(5));
-        let p50 = check.get("p50_ms").and_then(Value::as_f64).unwrap();
-        let p99 = check.get("p99_ms").and_then(Value::as_f64).unwrap();
-        let max = check.get("max_ms").and_then(Value::as_f64).unwrap();
-        assert!((0.4..1.0).contains(&p50), "p50 = {p50}");
-        assert!(p99 >= 10.0, "p99 = {p99}");
-        assert_eq!(max, 10.0, "max is exact");
-        assert!(p50 <= p99);
-        // Untouched endpoints report zeroed blocks, in reporting order.
-        let sweep = endpoints.get("sweep").unwrap();
-        assert_eq!(sweep.get_usize("count"), Some(0));
+        let snap = own(&m);
+        let check = &snap.histograms.iter().find(|(n, _)| n == "http.request.check").unwrap().1;
+        assert_eq!(check.count, 5);
+        let (p50, p99) = (check.quantile(0.5), check.quantile(0.99));
+        assert!((400_000..1_000_000).contains(&p50), "p50 = {p50} ns");
+        assert!(p99 >= 10_000_000, "p99 = {p99} ns");
+        assert_eq!(check.max, 10_000_000, "max is exact");
+        // Untouched endpoints are listed with zero counts.
+        assert_eq!(count(&snap, "http.request.sweep"), 0);
+        assert_eq!(snap.histograms.len(), Endpoint::ALL.len() + 1);
+        // `record` indexes the histograms by discriminant.
+        for (i, endpoint) in Endpoint::ALL.into_iter().enumerate() {
+            assert_eq!(endpoint as usize, i);
+        }
     }
 
     #[test]
@@ -432,17 +359,25 @@ mod tests {
         let m = Metrics::new();
         m.record(Some(Endpoint::Catalog), 200, Duration::from_micros(50));
         m.record(None, 404, Duration::from_micros(10));
-        let keys = |fields: &[(String, Value)]| -> Vec<String> {
-            fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>()
+        m.shard_request();
+        let text = snapshot_to_json(&own(&m)).to_string();
+        assert_eq!(snapshot_to_json(&own(&m)).to_string(), text, "byte-identical");
+        // Names are sorted within each block.
+        let page = json::parse(&text).unwrap();
+        let Some(Value::Obj(counters)) = page.get("counters") else {
+            panic!("counters must be an object: {text}");
         };
-        let a = m.to_json();
-        let b = m.to_json();
-        assert_eq!(keys(&a), keys(&b));
-        // The serialized bodies agree byte-for-byte except uptime.
-        let strip = |fields: Vec<(String, Value)>| {
-            Value::Obj(fields).without_keys(&["uptime_ms"]).to_string()
-        };
-        assert_eq!(strip(a), strip(b));
+        let names: Vec<&str> = counters.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "http.connections.accepted",
+                "http.errors_4xx",
+                "http.errors_5xx",
+                "journal.segments_served",
+                "sweep.shard_requests"
+            ]
+        );
     }
 
     #[test]
@@ -451,21 +386,46 @@ mod tests {
         m.record(Some(Endpoint::Check), 200, Duration::from_micros(500));
         m.record(Some(Endpoint::Check), 503, Duration::from_micros(100));
         let mut out = String::new();
-        m.render_prometheus(&mut out);
-        assert!(out.contains("# TYPE consensus_http_request_duration_ms summary\n"));
+        consensus_obs::prom::write_snapshot(&mut out, &own(&m));
+        assert!(out.contains("# TYPE consensus_http_request_check_ns summary\n"));
         for q in ["0.5", "0.9", "0.99"] {
             assert!(
-                out.contains(&format!(
-                    "consensus_http_request_duration_ms{{endpoint=\"check\",quantile=\"{q}\"}}"
-                )),
+                out.contains(&format!("consensus_http_request_check_ns{{quantile=\"{q}\"}}")),
                 "missing quantile {q} in:\n{out}"
             );
         }
-        assert!(out.contains("consensus_http_errors_total{class=\"5xx\"} 1\n"));
-        assert!(out.contains("consensus_http_errors_total{class=\"4xx\"} 0\n"));
-        assert!(out.contains("consensus_http_request_duration_ms_count{endpoint=\"check\"} 2\n"));
+        assert!(out.contains("consensus_http_errors_5xx_total 1\n"));
+        assert!(out.contains("consensus_http_errors_4xx_total 0\n"));
+        assert!(out.contains("consensus_http_request_check_ns_count 2\n"));
+        assert!(out.contains("consensus_http_request_check_ns_max 500000\n"));
         // Exactly one TYPE header per family.
-        let headers = out.matches("# TYPE consensus_http_request_duration_ms ").count();
+        let headers = out.matches("# TYPE consensus_http_request_check_ns ").count();
         assert_eq!(headers, 1);
+    }
+
+    #[test]
+    fn snapshot_json_round_trips() {
+        let m = Metrics::new();
+        m.connection_accepted();
+        m.record(Some(Endpoint::Catalog), 200, Duration::from_micros(50));
+        m.record(None, 404, Duration::from_micros(10));
+        // A sample past i64::MAX lands in the last bucket, whose bound is
+        // u64::MAX: the encoding must carry it too.
+        m.latency[Endpoint::Trace as usize].record(u64::MAX);
+        let snap = m.snapshot();
+        let text = snapshot_to_json(&snap).to_string();
+        let decoded = snapshot_from_json(&json::parse(&text).unwrap()).expect("decodes");
+        assert_eq!(decoded, snap);
+        assert_eq!(snapshot_to_json(&decoded).to_string(), text, "encoding is deterministic");
+        let catalog = json::parse(&text).unwrap();
+        let catalog = catalog.get("histograms_ns").unwrap().get("http.request.catalog").unwrap();
+        for key in ["count", "sum", "max", "p50", "p90", "p99", "buckets"] {
+            assert!(catalog.get(key).is_some(), "missing {key}");
+        }
+        // Not a snapshot: no answer rather than a partial one.
+        assert_eq!(snapshot_from_json(&json::parse(r#"{"counters":{}}"#).unwrap()), None);
+        let bad_bucket = r#"{"counters":{},"gauges":{},"histograms_ns":{"h":
+            {"count":1,"sum":1,"max":1,"buckets":[[1]]}}}"#;
+        assert_eq!(snapshot_from_json(&json::parse(bad_bucket).unwrap()), None);
     }
 }

@@ -302,8 +302,12 @@ mod tests {
         }
         assert_eq!(client.reconnects(), 0, "keep-alive must reuse the connection");
         let metrics = json::parse(&client.get("/metrics").unwrap().body).unwrap();
-        let connections = metrics.get("connections").unwrap();
-        assert_eq!(connections.get_usize("accepted"), Some(1));
+        let registry = metrics.get("registry").unwrap();
+        let accepted = registry.get("counters").unwrap().get_usize("http.connections.accepted");
+        assert_eq!(accepted, Some(1));
+        // The connection serving this very page is the one active.
+        let active = registry.get("gauges").unwrap().get_usize("http.connections.active");
+        assert_eq!(active, Some(1));
         // Close the connection before stopping so the worker is not left
         // blocked in an idle read for the full timeout.
         drop(client);

@@ -171,13 +171,19 @@ fn one_keep_alive_connection_serves_every_endpoint() {
     assert_eq!(client.get("/nope").unwrap().status, 404);
 
     let metrics = client.get("/metrics").unwrap().json().unwrap();
-    let requests = metrics.get("requests").unwrap();
-    assert_eq!(requests.get_usize("healthz"), Some(1));
-    assert_eq!(requests.get_usize("catalog"), Some(1));
-    assert_eq!(requests.get_usize("check"), Some(3));
-    assert_eq!(requests.get_usize("sweep"), Some(1));
-    assert_eq!(requests.get_usize("not_found"), Some(1));
-    assert_eq!(requests.get_usize("errors"), Some(2));
+    let registry = metrics.get("registry").unwrap();
+    let requests = |name: &str| {
+        let histograms = registry.get("histograms_ns").unwrap();
+        histograms.get(&format!("http.request.{name}")).unwrap().get_usize("count")
+    };
+    assert_eq!(requests("healthz"), Some(1));
+    assert_eq!(requests("catalog"), Some(1));
+    assert_eq!(requests("check"), Some(3));
+    assert_eq!(requests("sweep"), Some(1));
+    assert_eq!(requests("unrouted"), Some(1));
+    // The 400 and the 404 are client errors.
+    assert_eq!(registry.get("counters").unwrap().get_usize("http.errors_4xx"), Some(2));
+    assert_eq!(registry.get("counters").unwrap().get_usize("http.errors_5xx"), Some(0));
     assert_eq!(client.reconnects(), 0, "every exchange must ride one keep-alive connection");
     drop(client);
     server.stop();
